@@ -54,7 +54,7 @@ RAW_SYNC="$(grep -rn \
     | grep -v '^src/util/sync\.hh:' || true)"
 if [ -n "$RAW_SYNC" ]; then
     echo "error: raw std synchronization primitive outside util/sync.hh" >&2
-    echo "       (use sync::Mutex / sync::CondVar / sync::SharedMutex;" >&2
+    echo "       (use sync::Mutex / sync::CondVar;" >&2
     echo "        see DESIGN.md 'Locking discipline'):" >&2
     echo "$RAW_SYNC" >&2
     exit 1
@@ -128,8 +128,8 @@ else
     # ASan+UBSan so injected faults cannot hide memory errors.  The
     # Debug build also arms the ranked lock-hierarchy checker
     # (REPLAY_SYNC_HIERARCHY), so any out-of-order acquisition on the
-    # engine/cache/tier/governor paths panics here instead of
-    # deadlocking in production.  Skip with REPLAY_SKIP_CHAOS=1 (e.g.
+    # pool/registry/logging paths panics here instead of deadlocking in
+    # production.  Skip with REPLAY_SKIP_CHAOS=1 (e.g.
     # on machines too slow for the stall/deadline timing tests).
     cmake --build "$ASAN_BUILD" -j "$JOBS" \
         --target test_robustness chaosrunner
@@ -148,24 +148,11 @@ if echo 'int main(){return 0;}' | \
         --output-on-failure -L sweep
 
     echo "== tier-1: sync primitives under TSan (${TSAN_BUILD}) =="
-    # util/sync.hh wrapper battery: the mutex/condvar/shared-mutex
-    # stress hammer plus the lock-hierarchy checker's panic paths
+    # util/sync.hh wrapper battery: the mutex/condvar stress hammer
+    # plus the lock-hierarchy checker's panic paths
     # (RelWithDebInfo arms REPLAY_SYNC_HIERARCHY).
     cmake --build "$TSAN_BUILD" -j "$JOBS" --target test_sync
     ctest --test-dir "$TSAN_BUILD" --output-on-failure -L sync
-
-    echo "== tier-1: tier-stress under TSan (${TSAN_BUILD}) =="
-    if [ "${REPLAY_SKIP_TIER:-0}" = "1" ]; then
-        echo "warn: REPLAY_SKIP_TIER=1; skipping the tier-stress stage"
-    else
-        # Background re-optimization battery: publish/acquire races,
-        # epoch swap vs. pinned frames, cancel/shed hammering, and the
-        # async==sync convergence checks, all under ThreadSanitizer.
-        # Skip with REPLAY_SKIP_TIER=1 (e.g. on machines too slow for
-        # the soak tests under TSan overhead).
-        cmake --build "$TSAN_BUILD" -j "$JOBS" --target test_tier
-        ctest --test-dir "$TSAN_BUILD" --output-on-failure -L tier-stress
-    fi
 else
     echo "warn: ThreadSanitizer unavailable on this host; skipping"
 fi

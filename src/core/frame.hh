@@ -24,7 +24,7 @@ namespace replay::core {
 
 /**
  * Optimization tier of a cached frame body.  CHEAP bodies were
- * admitted with the fast pass subset and are candidates for background
+ * admitted with the fast pass subset and are candidates for tiered
  * re-optimization; FULL bodies have had the whole pipeline (either at
  * admission, or republished by the tier engine).
  */
@@ -86,8 +86,8 @@ struct Frame
      * Publication generation: 0 for the admitted body, bumped each
      * time the tier engine republishes a re-optimized body for this
      * start PC.  Together with `id` this versions the cache slot: a
-     * background result is only published while the cached frame still
-     * carries the id the job snapshotted.
+     * re-optimized result is only published while the cached frame
+     * still carries the id it was built from.
      */
     uint32_t generation = 0;
 

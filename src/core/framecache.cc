@@ -11,23 +11,15 @@ FrameCache::FrameCache(unsigned capacity_uops) : capacity_(capacity_uops)
 void
 FrameCache::setGovernor(ResourceGovernor *governor)
 {
-    sync::RoleGuard hold(role_);
     governor_ = governor;
     if (governor_) {
         governorId_ = governor_->registerConsumer("fcache");
-        syncGovernorLocked();
+        syncGovernor();
     }
 }
 
 size_t
 FrameCache::memoryBytes() const
-{
-    sync::RoleGuard hold(role_);
-    return memoryBytesLocked();
-}
-
-size_t
-FrameCache::memoryBytesLocked() const
 {
     // Deterministic O(1) model of the cache's live footprint: the
     // micro-op bodies dominate; each resident frame also carries its
@@ -41,13 +33,6 @@ FrameCache::memoryBytesLocked() const
 unsigned
 FrameCache::recountUops() const
 {
-    sync::RoleGuard hold(role_);
-    return recountUopsLocked();
-}
-
-unsigned
-FrameCache::recountUopsLocked() const
-{
     unsigned total = 0;
     frames_.forEach([&](uint32_t, const Entry &entry) {
         total += entry.frame->numUops();
@@ -58,35 +43,30 @@ FrameCache::recountUopsLocked() const
 size_t
 FrameCache::auditBytes() const
 {
-    sync::RoleGuard hold(role_);
     // memoryBytes() rebuilt from a walk over the resident frames
     // instead of the incrementally-maintained occupied_ counter; any
     // divergence between the two is a bookkeeping leak.
-    return size_t(recountUopsLocked()) * sizeof(opt::FrameUop) +
+    return size_t(recountUops()) * sizeof(opt::FrameUop) +
            frames_.size() * PER_FRAME_OVERHEAD + frames_.memoryBytes();
 }
 
 void
-FrameCache::syncGovernorLocked()
+FrameCache::syncGovernor()
 {
     if (governor_)
-        governor_->update(governorId_, memoryBytesLocked());
+        governor_->update(governorId_, memoryBytes());
 }
 
 bool
-FrameCache::evictLruLocked(const char *counter)
+FrameCache::evictLru(const char *counter)
 {
     // Touch ticks are unique, so the strict minimum is exactly the
     // back of an LRU list.  The pinned entry (the frame currently
-    // being sequenced) is never a victim.  Pinned state is copied to
-    // locals so the scan closure touches no role-guarded fields
-    // (closures cannot carry REQUIRES annotations).
-    const bool pinned_valid = pinnedValid_;
-    const uint32_t pinned_pc = pinnedPc_;
+    // being sequenced) is never a victim.
     uint32_t victim_pc = 0;
     uint64_t victim_tick = UINT64_MAX;
     frames_.forEach([&](uint32_t pc, const Entry &entry) {
-        if (pinned_valid && pc == pinned_pc)
+        if (isPinned(pc))
             return;
         if (entry.lastUsed < victim_tick) {
             victim_tick = entry.lastUsed;
@@ -99,7 +79,7 @@ FrameCache::evictLruLocked(const char *counter)
     occupied_ -= victim->frame->numUops();
     frames_.erase(victim_pc);
     ++stats_.counter(counter);
-    syncGovernorLocked();
+    syncGovernor();
     if (onEvict_)
         onEvict_(victim_pc);
     return true;
@@ -108,17 +88,15 @@ FrameCache::evictLruLocked(const char *counter)
 bool
 FrameCache::shedLru()
 {
-    sync::RoleGuard hold(role_);
-    return evictLruLocked("pressure_sheds");
+    return evictLru("pressure_sheds");
 }
 
 unsigned
 FrameCache::shedToUops(unsigned target_uops)
 {
-    sync::RoleGuard hold(role_);
     unsigned shed = 0;
     while (occupied_ > target_uops &&
-           evictLruLocked("pressure_sheds")) {
+           evictLru("pressure_sheds")) {
         ++shed;
     }
     return shed;
@@ -127,7 +105,6 @@ FrameCache::shedToUops(unsigned target_uops)
 void
 FrameCache::pin(uint32_t pc)
 {
-    sync::RoleGuard hold(role_);
     pinnedValid_ = true;
     pinnedPc_ = pc;
 }
@@ -135,23 +112,21 @@ FrameCache::pin(uint32_t pc)
 void
 FrameCache::unpin()
 {
-    sync::RoleGuard hold(role_);
     pinnedValid_ = false;
 }
 
 void
 FrameCache::insert(FramePtr frame)
 {
-    sync::RoleGuard hold(role_);
     const unsigned size = frame->numUops();
     if (size > capacity_) {
         ++stats_.counter("rejected");
         return;
     }
     const uint32_t pc = frame->startPc;
-    invalidateLocked(pc);
+    invalidate(pc);
     while (occupied_ + size > capacity_) {
-        if (!evictLruLocked("evictions")) {
+        if (!evictLru("evictions")) {
             // Only the pinned frame is left and the newcomer still
             // does not fit: reject it rather than evict the frame
             // being sequenced.
@@ -164,13 +139,12 @@ FrameCache::insert(FramePtr frame)
     entry.lastUsed = ++tick_;
     occupied_ += size;
     ++stats_.counter("inserts");
-    syncGovernorLocked();
+    syncGovernor();
 }
 
 FramePtr
 FrameCache::lookup(uint32_t pc)
 {
-    sync::RoleGuard hold(role_);
     Entry *entry = frames_.find(pc);
     if (!entry) {
         ++misses_;
@@ -184,7 +158,6 @@ FrameCache::lookup(uint32_t pc)
 FramePtr
 FrameCache::probe(uint32_t pc) const
 {
-    sync::RoleGuard hold(role_);
     const Entry *entry = frames_.find(pc);
     return entry ? entry->frame : nullptr;
 }
@@ -192,20 +165,13 @@ FrameCache::probe(uint32_t pc) const
 void
 FrameCache::invalidate(uint32_t pc)
 {
-    sync::RoleGuard hold(role_);
-    invalidateLocked(pc);
-}
-
-void
-FrameCache::invalidateLocked(uint32_t pc)
-{
     Entry *entry = frames_.find(pc);
     if (!entry)
         return;
     occupied_ -= entry->frame->numUops();
     frames_.erase(pc);
     ++stats_.counter("invalidations");
-    syncGovernorLocked();
+    syncGovernor();
     if (onEvict_)
         onEvict_(pc);
 }
@@ -213,16 +179,9 @@ FrameCache::invalidateLocked(uint32_t pc)
 bool
 FrameCache::publish(uint32_t pc, FramePtr next)
 {
-    sync::RoleGuard hold(role_);
-    return publishLocked(pc, std::move(next));
-}
-
-bool
-FrameCache::publishLocked(uint32_t pc, FramePtr next)
-{
     Entry *entry = frames_.find(pc);
     panic_if(!entry, "publish to a non-resident start pc %#x", pc);
-    panic_if(isPinnedLocked(pc),
+    panic_if(isPinned(pc),
              "publish to the pinned (in-flight) entry");
     const unsigned old_size = entry->frame->numUops();
     const unsigned new_size = next->numUops();
@@ -237,11 +196,11 @@ FrameCache::publishLocked(uint32_t pc, FramePtr next)
     // from the table instead of trusting an increment — publishes are
     // orders of magnitude rarer than lookups, and a drifted model
     // would silently skew governor pressure for the rest of the run.
-    occupied_ = recountUopsLocked();
+    occupied_ = recountUops();
     // lastUsed is deliberately untouched: publication replaces the
     // body in place and must not perturb LRU victim selection.
     ++stats_.counter("publishes");
-    syncGovernorLocked();
+    syncGovernor();
     return true;
 }
 

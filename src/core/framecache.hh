@@ -25,17 +25,8 @@
  * the cache *entry*, so an in-flight frame cannot be re-requested as
  * a candidate and rebuilt while it executes).
  *
- * Locking discipline: the cache is single-owner (the sequencer
- * thread), not mutex-protected — a lock on the per-instruction lookup
- * path would be pure overhead.  The ownership claim is stated as a
- * sync::Role capability: every public method takes the role, all
- * internal state is GUARDED_BY it, and the real work happens in
- * private *Locked methods marked REQUIRES — so public methods can
- * compose them without re-entering the role (re-entry panics in
- * checked builds, as does any cross-thread overlap).  The eviction
- * listener fires with the cache role held; it may acquire
- * higher-ranked capabilities only (the tier queue at rank BGQUEUE
- * qualifies — see util/sync.hh for the registered hierarchy).
+ * The cache is single-owner (the sequencer thread) and takes no lock:
+ * a lock on the per-instruction lookup path would be pure overhead.
  */
 
 #ifndef REPLAY_CORE_FRAMECACHE_HH
@@ -48,7 +39,6 @@
 #include "util/flathash.hh"
 #include "util/governor.hh"
 #include "util/stats.hh"
-#include "util/sync.hh"
 
 namespace replay::core {
 
@@ -90,21 +80,17 @@ class FrameCache
     bool
     isPinned(uint32_t pc) const
     {
-        sync::RoleGuard hold(role_);
-        return isPinnedLocked(pc);
+        return pinnedValid_ && pinnedPc_ == pc;
     }
 
     /**
      * Called with the start PC of every frame that leaves the cache
-     * (capacity eviction, pressure shed, or invalidation) — the tier
-     * engine cancels pending re-optimization work for departed frames
-     * so shed frames cannot leak stale background work.  The listener
-     * runs with the cache role held.
+     * (capacity eviction, pressure shed, or invalidation); a body
+     * swap by publish() is not a departure.
      */
     void
     setEvictionListener(std::function<void(uint32_t)> listener)
     {
-        sync::RoleGuard hold(role_);
         onEvict_ = std::move(listener);
     }
 
@@ -142,21 +128,11 @@ class FrameCache
      */
     size_t auditBytes() const;
 
-    unsigned
-    occupiedUops() const
-    {
-        sync::RoleGuard hold(role_);
-        return occupied_;
-    }
+    unsigned occupiedUops() const { return occupied_; }
 
     unsigned capacityUops() const { return capacity_; }
 
-    size_t
-    numFrames() const
-    {
-        sync::RoleGuard hold(role_);
-        return frames_.size();
-    }
+    size_t numFrames() const { return frames_.size(); }
 
     StatGroup &stats() { return stats_; }
 
@@ -168,20 +144,9 @@ class FrameCache
      */
     static constexpr size_t PER_FRAME_OVERHEAD = sizeof(Frame) + 256;
 
-    bool
-    isPinnedLocked(uint32_t pc) const REQUIRES(role_)
-    {
-        return pinnedValid_ && pinnedPc_ == pc;
-    }
-
-    void invalidateLocked(uint32_t pc) REQUIRES(role_);
-    bool publishLocked(uint32_t pc, FramePtr next) REQUIRES(role_);
-    size_t memoryBytesLocked() const REQUIRES(role_);
-    unsigned recountUopsLocked() const REQUIRES(role_);
-
     /** Evict the unpinned LRU entry; false if nothing is evictable. */
-    bool evictLruLocked(const char *counter) REQUIRES(role_);
-    void syncGovernorLocked() REQUIRES(role_);
+    bool evictLru(const char *counter);
+    void syncGovernor();
 
     struct Entry
     {
@@ -189,21 +154,15 @@ class FrameCache
         uint64_t lastUsed = 0;  ///< unique touch tick (monotonic)
     };
 
-    /**
-     * Single-owner capability: the sequencer thread.  Guards all
-     * mutable state below; zero-cost in Release (see util/sync.hh).
-     */
-    mutable sync::Role role_{"framecache", sync::rank::FRAMECACHE};
-
     unsigned capacity_;
-    unsigned occupied_ GUARDED_BY(role_) = 0;
-    uint64_t tick_ GUARDED_BY(role_) = 0;
-    FlatMap<uint32_t, Entry> frames_ GUARDED_BY(role_);
-    bool pinnedValid_ GUARDED_BY(role_) = false;
-    uint32_t pinnedPc_ GUARDED_BY(role_) = 0;
-    ResourceGovernor *governor_ GUARDED_BY(role_) = nullptr;
-    unsigned governorId_ GUARDED_BY(role_) = 0;
-    std::function<void(uint32_t)> onEvict_ GUARDED_BY(role_);
+    unsigned occupied_ = 0;
+    uint64_t tick_ = 0;
+    FlatMap<uint32_t, Entry> frames_;
+    bool pinnedValid_ = false;
+    uint32_t pinnedPc_ = 0;
+    ResourceGovernor *governor_ = nullptr;
+    unsigned governorId_ = 0;
+    std::function<void(uint32_t)> onEvict_;
     StatGroup stats_{"fcache"};
     Counter &hits_{stats_.counter("hits")};
     Counter &misses_{stats_.counter("misses")};

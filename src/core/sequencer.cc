@@ -18,24 +18,15 @@ RePlayEngine::RePlayEngine(EngineConfig cfg)
         govPoolId_ = cfg_.governor->registerConsumer("frame_pool");
         govQuarantineId_ = cfg_.governor->registerConsumer("quarantine");
     }
-    if (cfg_.optimize && cfg_.tier.workers > 0) {
+    if (cfg_.optimize && cfg_.tier.enabled) {
         tier_ = std::make_unique<TierEngine>(cfg_.tier, cfg_.optConfig);
-        // Stale-work leak fix: a frame leaving the cache (capacity
-        // eviction, pressure shed, bias eviction, quarantine) takes
-        // its pending re-optimization job with it.  The closure runs
-        // under the cache role and touches only tier_ and a counter —
-        // both deliberately unguarded (closures cannot carry REQUIRES;
-        // see the file comment in sequencer.hh).
-        cache_.setEvictionListener([this](uint32_t pc) {
-            tierCancelled_ += tier_->cancelPending(pc);
-        });
         if (cfg_.governor)
-            govTierId_ = cfg_.governor->registerConsumer("tier_queue");
+            govTierId_ = cfg_.governor->registerConsumer("tier_inbox");
     }
 }
 
 void
-RePlayEngine::syncGovernorLocked()
+RePlayEngine::syncGovernor()
 {
     if (!cfg_.governor)
         return;
@@ -46,20 +37,10 @@ RePlayEngine::syncGovernorLocked()
 }
 
 void
-RePlayEngine::relievePressureLocked()
+RePlayEngine::relievePressure()
 {
     if (!cfg_.governor)
         return;
-    // Background re-optimization work sheds first: it is strictly
-    // optional (the cheap bodies it would replace keep running) and
-    // dropping it frees memory without giving up any cached frame.
-    if (tier_ && cfg_.governor->pressure() >= Pressure::SOFT) {
-        const unsigned dropped = tier_->shedPending();
-        if (dropped) {
-            tierShed_ += dropped;
-            syncGovernorLocked();
-        }
-    }
     // Shed LRU frames one at a time, rechecking between evictions so
     // exactly enough is released; the frame being sequenced is pinned
     // and never a victim.
@@ -70,7 +51,7 @@ RePlayEngine::relievePressureLocked()
 }
 
 void
-RePlayEngine::enqueueCandidateLocked(FrameCandidate &cand, uint64_t now)
+RePlayEngine::enqueueCandidate(FrameCandidate &cand, uint64_t now)
 {
     // Do not rebuild a frame that is already cached for this start PC
     // with the same span (common when the same cold path repeats
@@ -163,8 +144,8 @@ RePlayEngine::enqueueCandidateLocked(FrameCandidate &cand, uint64_t now)
                 frame->tier = FrameTier::CHEAP;
         } else if (tier_) {
             // Tiered admission: the cheap subset gets the frame into
-            // the cache immediately; the background workers re-run
-            // the full budget once it proves hot.
+            // the cache immediately; the tier engine re-runs the full
+            // budget once it proves hot.
             cheapOptimizer_.optimize(cand.uops, cand.blocks, &profile_,
                                      optStats_, frame->body);
             frame->tier = FrameTier::CHEAP;
@@ -204,20 +185,13 @@ RePlayEngine::enqueueCandidateLocked(FrameCandidate &cand, uint64_t now)
         ++allocFailures_;
         return;
     }
-    syncGovernorLocked();
+    syncGovernor();
 }
 
 void
 RePlayEngine::drainReady(uint64_t now)
 {
-    sync::RoleGuard hold(seqRole_);
-    drainReadyLocked(now);
-}
-
-void
-RePlayEngine::drainReadyLocked(uint64_t now)
-{
-    drainTierLocked();
+    drainTier();
     while (!pending_.empty() && pending_.front().readyAt <= now) {
         // SOFT pressure and worse: stop admitting new frames — the
         // cache is the largest shrinkable consumer, so growing it
@@ -231,18 +205,17 @@ RePlayEngine::drainReadyLocked(uint64_t now)
         cache_.insert(std::move(pending_.front().frame));
         pending_.pop_front();
     }
-    syncGovernorLocked();
-    relievePressureLocked();
+    syncGovernor();
+    relievePressure();
 }
 
 void
 RePlayEngine::observeRetired(const trace::TraceRecord &rec, uint64_t now)
 {
-    sync::RoleGuard hold(seqRole_);
-    drainReadyLocked(now);
+    drainReady(now);
     auto candidate = constructor_.observe(rec);
     if (candidate) {
-        enqueueCandidateLocked(*candidate, now);
+        enqueueCandidate(*candidate, now);
         constructor_.recycle(std::move(*candidate));
     }
 }
@@ -250,8 +223,7 @@ RePlayEngine::observeRetired(const trace::TraceRecord &rec, uint64_t now)
 FramePtr
 RePlayEngine::frameFor(uint32_t pc, uint64_t now)
 {
-    sync::RoleGuard hold(seqRole_);
-    drainReadyLocked(now);
+    drainReady(now);
     if (quarantine_.blocked(pc, now)) {
         ++stats_.counter("quarantine_blocks");
         return nullptr;
@@ -276,22 +248,21 @@ RePlayEngine::frameFor(uint32_t pc, uint64_t now)
 void
 RePlayEngine::frameCommitted(const FramePtr &frame)
 {
-    sync::RoleGuard hold(seqRole_);
     cache_.unpin();
     ++frame->fetches;
     ++frameCommits_;
-    maybeScheduleReoptLocked(frame);
+    maybeScheduleReopt(frame);
 }
 
 void
-RePlayEngine::maybeScheduleReoptLocked(const FramePtr &frame)
+RePlayEngine::maybeScheduleReopt(const FramePtr &frame)
 {
     if (!tier_ || !tier_->wantsReopt(*frame))
         return;
     if (cfg_.governor) {
-        // Under pressure the tier engine only sheds work, it never
-        // creates more; and the snapshot is an allocation site like
-        // any other for the chaos campaign.
+        // Under pressure the tier engine creates no new work; and
+        // re-optimization is an allocation site like any other for
+        // the chaos campaign.
         if (cfg_.governor->pressure() >= Pressure::SOFT)
             return;
         if (cfg_.governor->allocWouldFail()) {
@@ -305,20 +276,19 @@ RePlayEngine::maybeScheduleReoptLocked(const FramePtr &frame)
     } catch (const std::bad_alloc &) {
         ++allocFailures_;
     }
-    syncGovernorLocked();
+    syncGovernor();
 }
 
 void
-RePlayEngine::drainTierLocked()
+RePlayEngine::drainTier()
 {
     if (!tier_)
         return;
     // Explicit inbox loop (see TierEngine's drain protocol): stop at
     // the first DEFER so publication order stays stable; a consumed
     // result retires its start PC from the in-flight set.
-    tier_->refreshInbox();
     while (tier_->hasInboxResult()) {
-        if (publishReoptLocked(tier_->inboxFront()) ==
+        if (publishReopt(tier_->inboxFront()) ==
             TierEngine::Verdict::DEFER) {
             return;
         }
@@ -327,15 +297,11 @@ RePlayEngine::drainTierLocked()
 }
 
 TierEngine::Verdict
-RePlayEngine::publishReoptLocked(ReoptResult &res)
+RePlayEngine::publishReopt(ReoptResult &res)
 {
-    if (res.failed) {
-        ++allocFailures_;
-        return TierEngine::Verdict::CONSUMED;
-    }
-    // Versioned-slot check: publish only onto the exact frame the job
-    // snapshotted.  A frame that was evicted, bias-replaced, or
-    // rebuilt mid-flight makes the result stale.
+    // Versioned-slot check: publish only onto the exact frame the
+    // result was built from.  A frame that was evicted, bias-replaced,
+    // or rebuilt since makes the result stale.
     const FramePtr cur = cache_.probe(res.startPc);
     if (!cur || cur->id != res.frameId) {
         ++tierStaleDrops_;
@@ -411,7 +377,7 @@ RePlayEngine::publishReoptLocked(ReoptResult &res)
         } else {
             ++tierStaleDrops_;
         }
-        syncGovernorLocked();
+        syncGovernor();
     } catch (const std::bad_alloc &) {
         ++allocFailures_;
     }
@@ -421,16 +387,11 @@ RePlayEngine::publishReoptLocked(ReoptResult &res)
 void
 RePlayEngine::quiesceTier()
 {
-    sync::RoleGuard hold(seqRole_);
     if (!tier_)
         return;
-    // Pending jobs are abandoned (counted), in-flight jobs drain, and
-    // whatever completed gets one final publication pass — nothing is
-    // pinned between trace records, so no result can be deferred
-    // forever.
-    tierDroppedAtExit_ += tier_->shedPending();
-    tier_->waitIdle();
-    drainTierLocked();
+    // One final publication pass — nothing is pinned between trace
+    // records, so no result can be deferred forever.
+    drainTier();
     tierDroppedAtExit_ += tier_->undrained();
 }
 
@@ -438,7 +399,6 @@ void
 RePlayEngine::frameAborted(const FramePtr &frame,
                            const FrameOutcome &outcome)
 {
-    sync::RoleGuard hold(seqRole_);
     cache_.unpin();
     ++frame->fetches;
     if (outcome.kind == FrameOutcome::Kind::UNSAFE_CONFLICT) {
@@ -470,12 +430,11 @@ RePlayEngine::frameAborted(const FramePtr &frame,
 void
 RePlayEngine::frameQuarantined(const FramePtr &frame, uint64_t now)
 {
-    sync::RoleGuard hold(seqRole_);
     cache_.unpin();
     cache_.invalidate(frame->startPc);
     quarantine_.add(frame->startPc, now);
     ++stats_.counter("quarantines");
-    syncGovernorLocked();
+    syncGovernor();
 }
 
 } // namespace replay::core

@@ -5,22 +5,9 @@
  * and the frame cache together, and answers the fetch engine's
  * sequencing queries.
  *
- * Locking discipline: the engine is single-owner (one session, one
- * driving thread), stated as the `engine` sync::Role — the *root* of
- * the lock hierarchy (rank ENGINE, the minimum), because everything
- * else is acquired from under it: the frame-cache role on every
- * cache call, the tier queue mutex on enqueue/cancel/drain, the
- * governor role on every pressure query.  Public methods take the
- * role and delegate to private *Locked methods marked REQUIRES, so
- * external callers (simulator, headless driver, tests) need no
- * annotations of their own.
- *
- * Deliberately unguarded: `tier_` and the `tierCancelled_` counter,
- * which the cache eviction listener touches from inside a closure
- * (closures cannot carry REQUIRES; the listener only ever runs on the
- * owner thread, under the cache role, which the hierarchy orders
- * below every capability the callee acquires).  See DESIGN.md
- * "Locking discipline".
+ * The engine is single-owner: one session, one driving thread.  The
+ * frame cache, the tier engine and the governor it reports to all run
+ * on that thread, so none of them takes a lock.
  */
 
 #ifndef REPLAY_CORE_SEQUENCER_HH
@@ -40,7 +27,6 @@
 #include "opt/optimizer.hh"
 #include "util/arena.hh"
 #include "util/governor.hh"
-#include "util/sync.hh"
 
 namespace replay::fault {
 class FaultInjector;
@@ -86,12 +72,11 @@ struct EngineConfig
     opt::OptConfig cheapOptConfig = opt::OptConfig::cheap();
 
     /**
-     * Tiered background re-optimization (ROADMAP item 5).  With
-     * tier.workers == 0 (default) the engine is untiered and
-     * bit-identical to the seed: frames get the full pipeline at
-     * admission.  With a nonzero tier budget, frames are admitted with
-     * cheapOptConfig and hot ones are re-optimized with the full
-     * budget in the background, then republished.
+     * Tiered re-optimization (ROADMAP item 5).  With tier.enabled off
+     * (default) the engine is untiered and bit-identical to the seed:
+     * frames get the full pipeline at admission.  With it on, frames
+     * are admitted with cheapOptConfig and hot ones are re-optimized
+     * with the full budget, then republished.
      */
     TierConfig tier;
 
@@ -139,16 +124,11 @@ class RePlayEngine
     void frameQuarantined(const FramePtr &frame, uint64_t now);
 
     /** Pipeline flush (long-flow instruction): drop the accumulation. */
-    void
-    flush()
-    {
-        sync::RoleGuard hold(seqRole_);
-        constructor_.abandon();
-    }
+    void flush() { constructor_.abandon(); }
 
     /**
-     * End-of-run tier teardown: drop pending re-opt work, wait for
-     * in-flight jobs, then drain (and publish) whatever completed.
+     * End-of-run tier teardown: one final publication pass over the
+     * inbox; whatever it cannot publish counts as dropped at exit.
      * Idempotent; a no-op for untiered engines.
      */
     void quiesceTier();
@@ -164,20 +144,16 @@ class RePlayEngine
     StatGroup &stats() { return stats_; }
 
   private:
-    void drainReadyLocked(uint64_t now) REQUIRES(seqRole_);
-    void enqueueCandidateLocked(FrameCandidate &cand, uint64_t now)
-        REQUIRES(seqRole_);
+    void enqueueCandidate(FrameCandidate &cand, uint64_t now);
 
-    /** Queue a committed cheap-tier frame for re-opt once it is hot. */
-    void maybeScheduleReoptLocked(const FramePtr &frame)
-        REQUIRES(seqRole_);
+    /** Re-optimize a committed cheap-tier frame once it is hot. */
+    void maybeScheduleReopt(const FramePtr &frame);
 
     /** Drain finished re-optimizations and publish the valid ones. */
-    void drainTierLocked() REQUIRES(seqRole_);
+    void drainTier();
 
-    /** Publish (or drop) one background result; see TierEngine. */
-    TierEngine::Verdict publishReoptLocked(ReoptResult &res)
-        REQUIRES(seqRole_);
+    /** Publish (or drop) one re-optimized result; see TierEngine. */
+    TierEngine::Verdict publishReopt(ReoptResult &res);
 
     /**
      * Governor plumbing: report the engine-owned footprints (frame
@@ -185,26 +161,18 @@ class RePlayEngine
      * worse, shed LRU frames until it relieves (the pinned in-flight
      * frame is never shed).
      */
-    void syncGovernorLocked() REQUIRES(seqRole_);
-    void relievePressureLocked() REQUIRES(seqRole_);
-
-    /**
-     * The session-owner capability, rank ENGINE (hierarchy root): the
-     * sequencing state below is GUARDED_BY it, and every public entry
-     * point takes it, so checked builds panic the instant two threads
-     * drive one engine.  Zero-cost in Release.
-     */
-    mutable sync::Role seqRole_{"engine", sync::rank::ENGINE};
+    void syncGovernor();
+    void relievePressure();
 
     EngineConfig cfg_;
-    FrameConstructor constructor_ GUARDED_BY(seqRole_);
-    opt::Optimizer optimizer_ GUARDED_BY(seqRole_);
-    opt::Optimizer cheapOptimizer_ GUARDED_BY(seqRole_);
-    opt::OptimizerPipeline optPipe_ GUARDED_BY(seqRole_);
-    FrameCache cache_;              ///< has its own role capability
-    Quarantine quarantine_ GUARDED_BY(seqRole_);
-    AliasProfile profile_ GUARDED_BY(seqRole_);
-    opt::OptStats optStats_ GUARDED_BY(seqRole_);
+    FrameConstructor constructor_;
+    opt::Optimizer optimizer_;
+    opt::Optimizer cheapOptimizer_;
+    opt::OptimizerPipeline optPipe_;
+    FrameCache cache_;
+    Quarantine quarantine_;
+    AliasProfile profile_;
+    opt::OptStats optStats_;
     StatGroup stats_{"replay"};
     // Bound once (StatGroup's map gives stable references): these fire
     // on every candidate / frame event and are too hot for a string
@@ -219,15 +187,13 @@ class RePlayEngine
     Counter &govCheapOpts_{stats_.counter("gov_cheap_opts")};
     Counter &govSuspended_{stats_.counter("gov_suspended")};
     Counter &allocFailures_{stats_.counter("alloc_failures")};
-    // Tiered re-optimization counters (all zero with tier.workers == 0).
+    // Tiered re-optimization counters (all zero with tiering off).
     Counter &tierEnqueues_{stats_.counter("tier_enqueues")};
     Counter &tierPublishes_{stats_.counter("tier_publishes")};
     Counter &tierUopsRemoved_{stats_.counter("tier_uops_removed")};
     Counter &tierVerifyRejects_{stats_.counter("tier_verify_rejects")};
     Counter &tierStaleDrops_{stats_.counter("tier_stale_drops")};
     Counter &tierDeferrals_{stats_.counter("tier_deferrals")};
-    Counter &tierCancelled_{stats_.counter("tier_cancelled")};
-    Counter &tierShed_{stats_.counter("tier_shed")};
     Counter &tierDroppedAtExit_{stats_.counter("tier_dropped_at_exit")};
 
     /** Governor consumer ids (valid only when cfg_.governor). */
@@ -244,15 +210,15 @@ class RePlayEngine
      * pending_ users conceptually, but destruction order is safe either
      * way: the pool's core outlives its handles via shared ownership.
      */
-    ObjectPool<Frame> framePool_ GUARDED_BY(seqRole_);
+    ObjectPool<Frame> framePool_;
 
     struct Pending
     {
         uint64_t readyAt;
         FramePtr frame;
     };
-    std::deque<Pending> pending_ GUARDED_BY(seqRole_);
-    uint64_t nextFrameId_ GUARDED_BY(seqRole_) = 1;
+    std::deque<Pending> pending_;
+    uint64_t nextFrameId_ = 1;
 };
 
 } // namespace replay::core

@@ -1,34 +1,33 @@
 /**
  * @file
- * Tiered background re-optimization (ROADMAP item 5).
+ * Tiered re-optimization (ROADMAP item 5).
  *
  * The paper's engine pays the full pass pipeline on every constructed
  * frame before it can be deposited.  Kistler & Franz's continuous
- * optimization model does better: admit code cheaply, then let an
- * asynchronous service re-optimize whatever turns out to be hot.  The
- * tier engine implements that split for frames:
+ * optimization model does better: admit code cheaply, then re-optimize
+ * whatever turns out to be hot.  The tier engine implements that split
+ * for frames:
  *
  *   - admission runs OptConfig::cheap() (NOP removal + DCE) so frames
  *     reach the cache almost immediately,
  *   - every committed cheap-tier frame that crosses the hotness
- *     threshold is snapshotted and queued for the background workers,
- *     ranked by execution count minus an assertion-rate penalty,
- *   - workers re-run the *full* pass pipeline over the snapshot
- *     (Optimizer::optimize is re-entrant: all scratch is
- *     thread_local), and push results into a completion inbox,
- *   - the sequencer drains the inbox on its own thread and publishes
- *     each surviving body with a generation bump — never while the
- *     target entry is pinned, and only after the frame id check proves
- *     the cached frame is still the one the job was built from.
+ *     threshold is re-optimized with the *full* pass pipeline at once,
+ *     on the engine's own thread, and the result is appended to an
+ *     inbox,
+ *   - the sequencer drains the inbox at its next drain point and
+ *     publishes each surviving body with a generation bump — never
+ *     while the target entry is pinned, and only after the frame id
+ *     check proves the cached frame is still the one the result was
+ *     built from.
  *
- * The snapshot trick: the cheap passes only *delete* micro-ops (they
+ * The re-feed trick: the cheap passes only *delete* micro-ops (they
  * never rewrite operand links into producer indices that the
  * architectural form lacks), so the cheap body's surviving
  * FrameUop::uop sequence — with its per-uop block tags — is itself a
  * valid architectural micro-op stream, and re-feeding it to the full
- * optimizer needs no extra stored state.  Alias hints are frozen into
- * the job at enqueue time (the live AliasProfile is mutated by the
- * sequencer thread and must not be read concurrently).
+ * optimizer needs no extra stored state.  Re-optimization runs before
+ * enqueue() returns, so the live AliasProfile is passed straight
+ * through.
  */
 
 #ifndef REPLAY_CORE_TIER_HH
@@ -40,9 +39,8 @@
 
 #include "core/frame.hh"
 #include "opt/optimizer.hh"
-#include "util/bgqueue.hh"
-#include "util/cancellation.hh"
 #include "util/flathash.hh"
+#include "util/logging.hh"
 
 namespace replay::core {
 
@@ -50,71 +48,13 @@ namespace replay::core {
 struct TierConfig
 {
     /**
-     * Background optimizer workers (the tier budget).  0 disables
-     * tiering entirely: admission uses the full pipeline and the
-     * engine is bit-identical to the untiered build.
+     * Off (default): admission uses the full pipeline and the engine
+     * is bit-identical to the untiered build.
      */
-    unsigned workers = 0;
+    bool enabled = false;
 
-    /**
-     * Deterministic mode: re-optimization jobs run inline on the
-     * sequencer thread at their trigger point (publication still goes
-     * through the same inbox/pin protocol).  Replayable and
-     * fingerprint-stable; used by the golden tests.
-     */
-    bool deterministic = false;
-
-    /** Commits before a cheap-tier frame is queued for re-opt. */
+    /** Commits before a cheap-tier frame is re-optimized. */
     unsigned hotThreshold = 2;
-
-    /** Priority penalty per assertion fire (hot but flaky sinks). */
-    unsigned assertPenalty = 4;
-
-    /** Cooperative stop: pending re-opt work is dropped once tripped. */
-    CancelToken cancel;
-};
-
-/**
- * Immutable alias-hint snapshot taken on the sequencer thread: records
- * the dirty store sites among one frame's memory micro-ops so workers
- * never touch the live (mutable) AliasProfile.
- */
-class FrozenAliasHints : public opt::AliasHints
-{
-  public:
-    /** Record the dirtiness of every memory site in @p frame. */
-    void snapshot(const Frame &frame, const opt::AliasHints &live);
-
-    bool cleanForSpeculation(uint32_t x86_pc,
-                             uint8_t mem_seq) const override;
-
-    size_t memoryBytes() const
-    {
-        return dirty_.capacity() * sizeof(uint64_t);
-    }
-
-  private:
-    std::vector<uint64_t> dirty_;   ///< sorted (pc << 8 | seq) keys
-};
-
-/** Snapshot of one frame queued for background re-optimization. */
-struct ReoptJob
-{
-    uint64_t frameId = 0;       ///< identity check at publication
-    uint32_t startPc = 0;
-    unsigned origInputUops = 0; ///< raw decode-flow count (accounting)
-    unsigned origInputLoads = 0;
-    std::vector<uop::Uop> uops;     ///< cheap body survivors
-    std::vector<uint16_t> blocks;   ///< their basic-block tags
-    FrozenAliasHints alias;
-
-    size_t
-    memoryBytes() const
-    {
-        return uops.capacity() * sizeof(uop::Uop) +
-               blocks.capacity() * sizeof(uint16_t) +
-               alias.memoryBytes();
-    }
 };
 
 /** A finished re-optimization, awaiting publication. */
@@ -122,9 +62,7 @@ struct ReoptResult
 {
     uint64_t frameId = 0;
     uint32_t startPc = 0;
-    bool failed = false;        ///< bad_alloc in the worker
     opt::OptimizedFrame body;
-    opt::OptStats stats;
 
     size_t
     memoryBytes() const
@@ -134,10 +72,9 @@ struct ReoptResult
 };
 
 /**
- * The background re-optimization service: owns the keyed priority
- * queue, the worker-side full optimizer, and the set of start PCs with
- * work in flight.  All methods except the internal job runner are
- * called from the sequencer thread only.
+ * The re-optimization service: owns the full optimizer, the inbox of
+ * finished results, and the set of start PCs with a result awaiting
+ * publication.
  */
 class TierEngine
 {
@@ -155,26 +92,15 @@ class TierEngine
     bool wantsReopt(const Frame &frame) const;
 
     /**
-     * Snapshot @p frame and queue it (runs inline in deterministic
-     * mode).  May throw std::bad_alloc while snapshotting — the
-     * caller drops the enqueue, exactly like a candidate build.
+     * Re-optimize @p frame with the full pipeline and queue the result
+     * for publication.  May throw std::bad_alloc — the caller drops
+     * the re-optimization, exactly like a candidate build.
      */
     void enqueue(const Frame &frame, const opt::AliasHints &live);
 
-    /** Frame at @p pc left the cache: drop its pending job, if any. */
-    unsigned cancelPending(uint32_t pc);
-
-    /** Memory pressure: drop every pending job.  Returns the count. */
-    unsigned shedPending();
-
     /**
-     * Inbox drain protocol (sequencer thread).  The engine drives the
-     * loop itself — an explicit iteration surface instead of the old
-     * publish-callback template, so the whole publication path stays
-     * statically annotatable (thread-safety analysis cannot attach
-     * REQUIRES to a closure):
+     * Inbox drain protocol (sequencer thread):
      *
-     *   tier->refreshInbox();
      *   while (tier->hasInboxResult()) {
      *       if (publish(tier->inboxFront()) == Verdict::DEFER)
      *           break;                  // pinned: retry at next drain
@@ -185,13 +111,6 @@ class TierEngine
      * stable); popInboxFront() also retires the start PC from the
      * in-flight set, re-enabling wantsReopt for that frame.
      */
-    void
-    refreshInbox()
-    {
-        if (queue_.hasCompleted())
-            pullCompleted();
-    }
-
     bool hasInboxResult() const { return !inbox_.empty(); }
 
     ReoptResult &
@@ -209,45 +128,31 @@ class TierEngine
         inbox_.pop_front();
     }
 
-    /** True when nothing is pending, running, or awaiting drain. */
-    bool
-    idle() const
-    {
-        return inflight_.size() == 0 && inbox_.empty();
-    }
-
-    /** Results executed but never drained (end-of-run accounting). */
+    /** Results never drained (end-of-run accounting). */
     size_t undrained() const { return inbox_.size(); }
 
-    /**
-     * Wait for in-flight jobs; swallows (and warns about) worker
-     * errors so end-of-run teardown never throws.
-     */
-    void waitIdle();
-
-    /** Pending + undrained footprint for the governor. */
+    /** Undrained footprint for the governor. */
     size_t memoryBytes() const;
 
-    uint64_t executedJobs() const { return queue_.executedCount(); }
+    uint64_t executedJobs() const { return executed_; }
 
   private:
-    void pullCompleted();
-    ReoptResult runJob(ReoptJob &job);
-
     TierConfig cfg_;
     opt::Optimizer fullOptimizer_;
-    BackgroundQueue<ReoptJob, ReoptResult> queue_;
 
     /**
-     * Start PCs with a job somewhere between enqueue and drain —
-     * consulted by wantsReopt so a frame is never queued twice.
-     * Sequencer-thread only.
+     * Start PCs with a result awaiting publication — consulted by
+     * wantsReopt so a frame is never re-optimized twice at once.
      */
     FlatSet<uint32_t> inflight_;
 
-    /** Drained-but-unpublished results (deferred while pinned). */
+    /** Finished but unpublished results (deferred while pinned). */
     std::deque<ReoptResult> inbox_;
-    std::vector<ReoptResult> inbox_scratch_;
+    uint64_t executed_ = 0;
+
+    // Re-feed scratch: the cheap body's survivors and block tags.
+    std::vector<uop::Uop> uops_;
+    std::vector<uint16_t> blocks_;
 };
 
 } // namespace replay::core

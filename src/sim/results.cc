@@ -49,8 +49,6 @@ RunStats::merge(const RunStats &other)
     tierVerifyRejects += other.tierVerifyRejects;
     tierStaleDrops += other.tierStaleDrops;
     tierDeferrals += other.tierDeferrals;
-    tierCancelled += other.tierCancelled;
-    tierShed += other.tierShed;
     tierDroppedAtExit += other.tierDroppedAtExit;
     // Peak footprint merges via max: commutative and associative like
     // the sums, so merged results stay independent of arrival order.
@@ -161,14 +159,14 @@ RunStats::fingerprint() const
         f.mix(govPeakBytes);
     }
     // Tier counters follow the same pattern: they joined after the
-    // goldens froze, are all zero with tierBudget == 0, and contribute
+    // goldens froze, are all zero with tiering off, and contribute
     // behind their own sentinel only when any is nonzero — so untiered
     // fingerprints stay bit-identical to the seed, and a tiered run
     // can never collide with an untiered one sharing the rest.
     const bool tiered = tierEnqueues || tierReopts || tierPublishes ||
                         tierUopsRemoved || tierVerifyRejects ||
                         tierStaleDrops || tierDeferrals ||
-                        tierCancelled || tierShed || tierDroppedAtExit;
+                        tierDroppedAtExit;
     if (tiered) {
         f.mix(uint64_t(0x0000646572656974ULL)); // sentinel: "tiered"
         f.mix(tierEnqueues);
@@ -178,8 +176,9 @@ RunStats::fingerprint() const
         f.mix(tierVerifyRejects);
         f.mix(tierStaleDrops);
         f.mix(tierDeferrals);
-        f.mix(tierCancelled);
-        f.mix(tierShed);
+        // Two zero slots keep the frozen tiered fingerprint layout.
+        f.mix(uint64_t(0));
+        f.mix(uint64_t(0));
         f.mix(tierDroppedAtExit);
     }
     f.mix(archDigest);

@@ -80,19 +80,17 @@ struct RunStats
     uint64_t stallsInjected = 0;         ///< chaos stalls taken
     uint64_t govPeakBytes = 0;           ///< peak governed footprint
 
-    // Tiered re-optimization counters (all zero with tierBudget == 0;
+    // Tiered re-optimization counters (all zero with tiering off;
     // behind their own fingerprint sentinel, like the governance
     // block, so untiered runs stay bit-identical to the seed).
     uint64_t tierEnqueues = 0;      ///< hot frames queued for re-opt
-    uint64_t tierReopts = 0;        ///< background jobs executed
+    uint64_t tierReopts = 0;        ///< full re-optimizations run
     uint64_t tierPublishes = 0;     ///< re-optimized bodies published
     uint64_t tierUopsRemoved = 0;   ///< cached uops freed by re-opt
     uint64_t tierVerifyRejects = 0; ///< results the linter rejected
     uint64_t tierStaleDrops = 0;    ///< results for departed frames
     uint64_t tierDeferrals = 0;     ///< publications held off a pin
-    uint64_t tierCancelled = 0;     ///< jobs cancelled by eviction
-    uint64_t tierShed = 0;          ///< jobs shed under pressure
-    uint64_t tierDroppedAtExit = 0; ///< work abandoned at quiesce
+    uint64_t tierDroppedAtExit = 0; ///< results unpublished at exit
 
     /**
      * FNV-1a64 of the architectural state at the instruction budget

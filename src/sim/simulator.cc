@@ -55,12 +55,10 @@ Simulator::Simulator(const SimConfig &cfg)
         }
         cfg_.engine.governor = governor_.get();
     }
-    if (cfg_.usesFrames() && cfg_.engine.tier.workers > 0) {
-        // Background re-opt work honours the same cancellation token
-        // the simulation loop polls, and every result is validated by
-        // the static verifier before publication (the engine layer
-        // cannot link the verifier itself, so the gate is injected).
-        cfg_.engine.tier.cancel = cfg_.cancel;
+    if (cfg_.usesFrames() && cfg_.engine.tier.enabled) {
+        // Every re-optimized body is validated by the static verifier
+        // before publication (the engine layer cannot link the
+        // verifier itself, so the gate is injected).
         if (!cfg_.engine.tierVerify) {
             cfg_.engine.tierVerify = [](const core::Frame &frame) {
                 return vstatic::lintFrame(frame).ok();
@@ -470,9 +468,8 @@ Simulator::run(trace::TraceSource &src)
         simulateIcacheInst(*rec, src);
     }
 
-    // Tier teardown before harvest: abandoned work must be counted,
-    // and no background job may still be running while counters are
-    // read.
+    // Tier teardown before harvest: results still unpublished must be
+    // counted before the counters are read.
     if (engine_)
         engine_->quiesceTier();
 
@@ -516,8 +513,6 @@ Simulator::run(trace::TraceSource &src)
         stats_.tierStaleDrops =
             engine_->stats().get("tier_stale_drops");
         stats_.tierDeferrals = engine_->stats().get("tier_deferrals");
-        stats_.tierCancelled = engine_->stats().get("tier_cancelled");
-        stats_.tierShed = engine_->stats().get("tier_shed");
         stats_.tierDroppedAtExit =
             engine_->stats().get("tier_dropped_at_exit");
         if (engine_->tier())

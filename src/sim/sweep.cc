@@ -115,11 +115,8 @@ runSweep(const std::vector<SweepCell> &cells, const SweepOptions &opts)
         // std::terminate.
         CancelSource watchdog;
         SimConfig cfg = task.cell->cfg;
-        if (opts.tierWorkers && cfg.usesFrames() &&
-            cfg.engine.optimize) {
-            cfg.engine.tier.workers = opts.tierWorkers;
-            cfg.engine.tier.deterministic = opts.tierDeterministic;
-        }
+        if (opts.tier && cfg.usesFrames() && cfg.engine.optimize)
+            cfg.engine.tier.enabled = true;
         if (opts.taskDeadlineMillis) {
             watchdog.setDeadlineAfter(
                 std::chrono::milliseconds(opts.taskDeadlineMillis));

@@ -59,15 +59,13 @@ struct SweepOptions
     bool warmup = true;
 
     /**
-     * Tiered re-optimization override for every frame-machine cell:
-     * tierWorkers > 0 sets SimConfig::engine.tier.workers on RP/RPO
-     * cells (cheap admission + background full re-opt), 0 (default)
-     * leaves the cells untiered and bit-identical to the seed.
+     * Tiered re-optimization override for every optimizing
+     * frame-machine cell (RPO and its variants): sets
+     * SimConfig::engine.tier.enabled (cheap admission + full re-opt of
+     * hot frames).  Off (default) leaves the cells untiered and
+     * bit-identical to the seed.
      */
-    unsigned tierWorkers = 0;
-
-    /** With tierWorkers > 0: run re-opt jobs inline (deterministic). */
-    bool tierDeterministic = false;
+    bool tier = false;
 
     /**
      * Soft per-task deadline in milliseconds; 0 = none.  Each (cell,

@@ -18,12 +18,10 @@
  * Locking discipline: this file is deliberately lock-free — the shared
  * CancelState is a pair of atomics, so tokens never take a sync::Mutex
  * and are excluded from the lock hierarchy.  That makes polling legal
- * from *any* context, including under every ranked lock (BackgroundQueue
- * reads its token inside the queue's critical section).  Note the one
- * subtlety this design pushes outward: the token *handle* itself
+ * from *any* context, including under every ranked lock.  Note the
+ * one subtlety this design pushes outward: the token *handle* itself
  * (the shared_ptr) is copied, not atomic, so rebinding a stored token
- * while another thread reads it needs external guarding — which is why
- * BackgroundQueue keeps its token GUARDED_BY its queue mutex.
+ * while another thread reads it needs external guarding.
  */
 
 #ifndef REPLAY_UTIL_CANCELLATION_HH

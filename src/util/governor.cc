@@ -27,7 +27,6 @@ ResourceGovernor::ResourceGovernor(GovernorConfig cfg) : cfg_(cfg)
 unsigned
 ResourceGovernor::registerConsumer(std::string name)
 {
-    sync::RoleGuard hold(role_);
     consumers_.emplace_back(std::move(name), 0);
     return unsigned(consumers_.size() - 1);
 }
@@ -35,7 +34,6 @@ ResourceGovernor::registerConsumer(std::string name)
 void
 ResourceGovernor::update(unsigned id, size_t live_bytes)
 {
-    sync::RoleGuard hold(role_);
     panic_if(id >= consumers_.size(), "governor consumer %u unknown",
              id);
     size_t &slot = consumers_[id].second;
@@ -49,7 +47,6 @@ ResourceGovernor::update(unsigned id, size_t live_bytes)
 size_t
 ResourceGovernor::consumerBytes(unsigned id) const
 {
-    sync::RoleGuard hold(role_);
     panic_if(id >= consumers_.size(), "governor consumer %u unknown",
              id);
     return consumers_[id].second;
@@ -58,7 +55,6 @@ ResourceGovernor::consumerBytes(unsigned id) const
 bool
 ResourceGovernor::allocWouldFail()
 {
-    sync::RoleGuard hold(role_);
     if (!allocFail_ || !allocFail_())
         return false;
     ++injectedAllocFails_;

@@ -26,13 +26,8 @@
  * NOT thread-safe: one instance belongs to one session/simulator, the
  * same ownership discipline as the engine it governs — which is also
  * what keeps governed runs deterministic (pressure depends only on
- * the session's own allocation history, never on neighbours).  That
- * discipline is stated as a sync::Role capability: every public entry
- * point takes the role, so in checked builds two threads calling in
- * concurrently panic instead of corrupting the ladder, and under
- * Clang the internal state is GUARDED_BY the role.  Re-entry is a
- * violation too: an alloc-failure hook must never call back into the
- * governor (the rank checker reports it as same-rank acquisition).
+ * the session's own allocation history, never on neighbours).  An
+ * alloc-failure hook must not call back into the governor.
  *
  * A disabled governor (budgetBytes == 0, the default) always reports
  * OK and never fails an allocation, so paper-shape runs stay
@@ -53,7 +48,6 @@
 #include <vector>
 
 #include "util/stats.hh"
-#include "util/sync.hh"
 
 namespace replay {
 
@@ -101,26 +95,9 @@ class ResourceGovernor
     /** Report consumer @p id's current live footprint. */
     void update(unsigned id, size_t live_bytes);
 
-    size_t
-    liveBytes() const
-    {
-        sync::RoleGuard hold(role_);
-        return live_;
-    }
-
-    size_t
-    peakBytes() const
-    {
-        sync::RoleGuard hold(role_);
-        return peak_;
-    }
-
-    Pressure
-    pressure() const
-    {
-        sync::RoleGuard hold(role_);
-        return pressure_;
-    }
+    size_t liveBytes() const { return live_; }
+    size_t peakBytes() const { return peak_; }
+    Pressure pressure() const { return pressure_; }
 
     /** Live footprint last reported by consumer @p id. */
     size_t consumerBytes(unsigned id) const;
@@ -129,13 +106,10 @@ class ResourceGovernor
      * Chaos hook: when set, allocWouldFail() consults it before every
      * tracked allocation.  The engine treats a failure like a real
      * std::bad_alloc at that site — drop the work, count it, continue.
-     * The hook runs with the governor role held: it must not call
-     * back into the governor (checked builds panic on the re-entry).
      */
     void
     setAllocFailureInjector(std::function<bool()> hook)
     {
-        sync::RoleGuard hold(role_);
         allocFail_ = std::move(hook);
     }
 
@@ -152,23 +126,14 @@ class ResourceGovernor
     StatGroup &stats() { return stats_; }
 
   private:
-    void recompute() REQUIRES(role_);
-
-    /**
-     * The single-session-owner discipline as a checkable capability:
-     * taken by every public entry point, so cross-thread or re-entrant
-     * use panics in checked builds and unguarded state access is a
-     * Clang -Wthread-safety error.  Costs nothing in Release.
-     */
-    mutable sync::Role role_{"governor", sync::rank::GOVERNOR};
+    void recompute();
 
     GovernorConfig cfg_;
-    std::vector<std::pair<std::string, size_t>>
-        consumers_ GUARDED_BY(role_);
-    size_t live_ GUARDED_BY(role_) = 0;
-    size_t peak_ GUARDED_BY(role_) = 0;
-    Pressure pressure_ GUARDED_BY(role_) = Pressure::OK;
-    std::function<bool()> allocFail_ GUARDED_BY(role_);
+    std::vector<std::pair<std::string, size_t>> consumers_;
+    size_t live_ = 0;
+    size_t peak_ = 0;
+    Pressure pressure_ = Pressure::OK;
+    std::function<bool()> allocFail_;
     StatGroup stats_{"governor"};
     Counter &softTransitions_{stats_.counter("soft_transitions")};
     Counter &hardTransitions_{stats_.counter("hard_transitions")};

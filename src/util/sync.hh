@@ -14,14 +14,14 @@
  *     attributes expand to nothing and the wrappers compile down to
  *     the plain std primitives.
  *
- *  2. **Dynamic ordering** — each Mutex/Role carries a hierarchy
- *     *rank* (see `sync::rank`).  In checked builds (armed by the
+ *  2. **Dynamic ordering** — each Mutex carries a hierarchy *rank*
+ *     (see `sync::rank`).  In checked builds (armed by the
  *     `REPLAY_SYNC_HIERARCHY` compile definition; CMake arms it for
  *     every non-Release build type) a thread-local stack records every
- *     held capability, and acquiring one whose rank is not strictly
- *     greater than everything already held PANICs immediately with
- *     both acquisition sites — turning a potential deadlock that TSA
- *     cannot express (lock *ordering* spans translation units) into a
+ *     held mutex, and acquiring one whose rank is not strictly greater
+ *     than everything already held PANICs immediately with both
+ *     acquisition sites — turning a potential deadlock that TSA cannot
+ *     express (lock *ordering* spans translation units) into a
  *     deterministic failure at first occurrence.  In Release builds
  *     the checker compiles to nothing: `lock()` is exactly
  *     `std::mutex::lock()`.
@@ -29,36 +29,24 @@
  * The registered hierarchy (rank increases along the arrow; a thread
  * may only acquire left-to-right):
  *
- *   engine(10) -> framecache(20) -> bgqueue(30) -> governor(40)
- *             -> threadpool(50) -> trace_registry(60)
- *             -> [unranked leaf(90)] -> report(100)
+ *   threadpool(50) -> trace_registry(60) -> [unranked leaf(90)]
+ *                  -> report(100)
  *
  * `report` (the logging mutex) is deliberately the maximum so panic /
  * warn can always print, no matter what the failing thread holds.
  * Unranked mutexes default to LEAF: they may be taken while holding
  * any ranked lock, but never nest with each other.
  *
- * A `Role` is a *zero-cost capability without a lock*: it asserts
- * exclusive sequential ownership (e.g. "the sequencer thread") rather
- * than mutual exclusion.  Statically it behaves like a mutex for
- * GUARDED_BY/REQUIRES purposes; dynamically (checked builds only) it
- * panics if two threads ever hold it concurrently, and it
- * participates in the rank hierarchy like any mutex.  Release builds
- * compile acquire/release to empty inline functions.
- *
- * Escape hatches: `NO_THREAD_SAFETY_ANALYSIS` is defined below for
- * completeness but must not be used outside this header's own
- * internals (tier1.sh greps for violations).
+ * Single-owner structures (the rePLay engine, its frame cache, tier
+ * engine and governor) are driven by one thread and take no lock.
  */
 
 #ifndef REPLAY_UTIL_SYNC_HH
 #define REPLAY_UTIL_SYNC_HH
 
-#include <atomic>
 #include <condition_variable>
 #include <cstdint>
 #include <mutex>
-#include <shared_mutex>
 
 #include "util/logging.hh"
 
@@ -80,23 +68,13 @@
 #define CAPABILITY(x) REPLAY_TSA(capability(x))
 #define SCOPED_CAPABILITY REPLAY_TSA(scoped_lockable)
 #define GUARDED_BY(x) REPLAY_TSA(guarded_by(x))
-#define PT_GUARDED_BY(x) REPLAY_TSA(pt_guarded_by(x))
 #define ACQUIRE(...) REPLAY_TSA(acquire_capability(__VA_ARGS__))
-#define ACQUIRE_SHARED(...) \
-    REPLAY_TSA(acquire_shared_capability(__VA_ARGS__))
 #define RELEASE(...) REPLAY_TSA(release_capability(__VA_ARGS__))
-#define RELEASE_SHARED(...) \
-    REPLAY_TSA(release_shared_capability(__VA_ARGS__))
 #define RELEASE_GENERIC(...) \
     REPLAY_TSA(release_generic_capability(__VA_ARGS__))
 #define TRY_ACQUIRE(...) REPLAY_TSA(try_acquire_capability(__VA_ARGS__))
 #define REQUIRES(...) REPLAY_TSA(requires_capability(__VA_ARGS__))
-#define REQUIRES_SHARED(...) \
-    REPLAY_TSA(requires_shared_capability(__VA_ARGS__))
 #define EXCLUDES(...) REPLAY_TSA(locks_excluded(__VA_ARGS__))
-#define ASSERT_CAPABILITY(x) REPLAY_TSA(assert_capability(x))
-#define RETURN_CAPABILITY(x) REPLAY_TSA(lock_returned(x))
-#define NO_THREAD_SAFETY_ANALYSIS REPLAY_TSA(no_thread_safety_analysis)
 
 // ---------------------------------------------------------------------
 // Hierarchy checker arming.  REPLAY_SYNC_HIERARCHY is a *build-wide*
@@ -128,10 +106,6 @@ hierarchyChecked()
  */
 namespace rank {
 
-inline constexpr uint16_t ENGINE = 10;      ///< RePlayEngine seq role
-inline constexpr uint16_t FRAMECACHE = 20;  ///< FrameCache role
-inline constexpr uint16_t BGQUEUE = 30;     ///< BackgroundQueue mutex
-inline constexpr uint16_t GOVERNOR = 40;    ///< ResourceGovernor role
 inline constexpr uint16_t POOL = 50;        ///< ThreadPool mutex
 inline constexpr uint16_t TRACE_REGISTRY = 60; ///< trace quarantine set
 inline constexpr uint16_t LEAF = 90;        ///< default: never nests
@@ -305,80 +279,6 @@ class CAPABILITY("mutex") Mutex
 };
 
 // ---------------------------------------------------------------------
-// SharedMutex
-// ---------------------------------------------------------------------
-
-/**
- * Reader/writer mutex.  Shared acquisitions obey the same hierarchy
- * rank as exclusive ones (and recursive lock_shared on one thread is
- * therefore an error — it can deadlock against a queued writer).
- */
-class CAPABILITY("shared_mutex") SharedMutex
-{
-  public:
-    explicit SharedMutex(const char *name = "shared_mutex",
-                         uint16_t level = rank::LEAF)
-        : name_(name), level_(level)
-    {
-    }
-
-    SharedMutex(const SharedMutex &) = delete;
-    SharedMutex &operator=(const SharedMutex &) = delete;
-
-    void
-    lock(const char *file = __builtin_FILE(),
-         unsigned line = __builtin_LINE()) ACQUIRE()
-    {
-#if REPLAY_SYNC_CHECKED
-        detail::noteAcquire(this, name_, level_, file, line);
-#else
-        (void)file;
-        (void)line;
-#endif
-        mu_.lock();
-    }
-
-    void
-    unlock() RELEASE()
-    {
-#if REPLAY_SYNC_CHECKED
-        detail::noteRelease(this, name_);
-#endif
-        mu_.unlock();
-    }
-
-    void
-    lock_shared(const char *file = __builtin_FILE(),
-                unsigned line = __builtin_LINE()) ACQUIRE_SHARED()
-    {
-#if REPLAY_SYNC_CHECKED
-        detail::noteAcquire(this, name_, level_, file, line);
-#else
-        (void)file;
-        (void)line;
-#endif
-        mu_.lock_shared();
-    }
-
-    void
-    unlock_shared() RELEASE_SHARED()
-    {
-#if REPLAY_SYNC_CHECKED
-        detail::noteRelease(this, name_);
-#endif
-        mu_.unlock_shared();
-    }
-
-    const char *name() const { return name_; }
-    uint16_t level() const { return level_; }
-
-  private:
-    std::shared_mutex mu_;
-    const char *name_;
-    uint16_t level_;
-};
-
-// ---------------------------------------------------------------------
 // Guards
 // ---------------------------------------------------------------------
 
@@ -454,50 +354,6 @@ class SCOPED_CAPABILITY UniqueLock
     bool owned_ = false;
 };
 
-/** RAII shared (reader) lock on a SharedMutex. */
-class SCOPED_CAPABILITY ReadLockGuard
-{
-  public:
-    explicit ReadLockGuard(SharedMutex &mu,
-                           const char *file = __builtin_FILE(),
-                           unsigned line = __builtin_LINE())
-        ACQUIRE_SHARED(mu)
-        : mu_(mu)
-    {
-        mu_.lock_shared(file, line);
-    }
-
-    ~ReadLockGuard() RELEASE_GENERIC() { mu_.unlock_shared(); }
-
-    ReadLockGuard(const ReadLockGuard &) = delete;
-    ReadLockGuard &operator=(const ReadLockGuard &) = delete;
-
-  private:
-    SharedMutex &mu_;
-};
-
-/** RAII exclusive (writer) lock on a SharedMutex. */
-class SCOPED_CAPABILITY WriteLockGuard
-{
-  public:
-    explicit WriteLockGuard(SharedMutex &mu,
-                            const char *file = __builtin_FILE(),
-                            unsigned line = __builtin_LINE())
-        ACQUIRE(mu)
-        : mu_(mu)
-    {
-        mu_.lock(file, line);
-    }
-
-    ~WriteLockGuard() RELEASE_GENERIC() { mu_.unlock(); }
-
-    WriteLockGuard(const WriteLockGuard &) = delete;
-    WriteLockGuard &operator=(const WriteLockGuard &) = delete;
-
-  private:
-    SharedMutex &mu_;
-};
-
 // ---------------------------------------------------------------------
 // CondVar
 // ---------------------------------------------------------------------
@@ -543,111 +399,6 @@ class CondVar
 
   private:
     std::condition_variable cv_;
-};
-
-// ---------------------------------------------------------------------
-// Role — a capability asserting exclusive *sequential* ownership
-// ---------------------------------------------------------------------
-
-/**
- * A capability without a lock.  Single-owner structures (the rePLay
- * engine, the frame cache, the governor — one session, one thread at
- * a time) do not want a mutex on their per-instruction hot paths, but
- * they still need their ownership discipline *stated and checked*:
- *
- *  - statically, a Role is a TSA capability: fields may be
- *    GUARDED_BY(role) and internals REQUIRES(role), so under Clang a
- *    code path that touches the guarded state without the role held
- *    is a compile error;
- *  - dynamically (checked builds), acquire() panics if another thread
- *    currently holds the role — catching real cross-thread misuse the
- *    moment it overlaps — and participates in the rank hierarchy like
- *    a mutex, so "engine -> framecache -> bgqueue -> governor" is
- *    enforced end to end;
- *  - in Release builds acquire()/release() are empty inline functions:
- *    the whole mechanism costs nothing.
- *
- * A Role is NOT a lock: concurrent acquisition is a bug (panic), not
- * contention.  Anything genuinely shared between threads takes a
- * Mutex instead.
- */
-class CAPABILITY("role") Role
-{
-  public:
-    explicit Role(const char *name, uint16_t level)
-        : name_(name), level_(level)
-    {
-    }
-
-    Role(const Role &) = delete;
-    Role &operator=(const Role &) = delete;
-
-    void
-    acquire(const char *file = __builtin_FILE(),
-            unsigned line = __builtin_LINE()) ACQUIRE()
-    {
-#if REPLAY_SYNC_CHECKED
-        // Rank/recursion check first: recursive acquisition trips the
-        // same-rank rule with a clear message before the exclusivity
-        // exchange would mistake it for a cross-thread overlap.
-        detail::noteAcquire(this, name_, level_, file, line);
-        if (held_.exchange(true, std::memory_order_acquire)) {
-            detail::noteRelease(this, name_);
-            panic("role '%s' acquired at %s:%u while another thread "
-                  "holds it (acquired at %s:%u): single-owner "
-                  "discipline violated",
-                  name_, file, line,
-                  lastFile_.load(std::memory_order_relaxed),
-                  lastLine_.load(std::memory_order_relaxed));
-        }
-        lastFile_.store(file, std::memory_order_relaxed);
-        lastLine_.store(line, std::memory_order_relaxed);
-#else
-        (void)file;
-        (void)line;
-#endif
-    }
-
-    void
-    release() RELEASE()
-    {
-#if REPLAY_SYNC_CHECKED
-        detail::noteRelease(this, name_);
-        held_.store(false, std::memory_order_release);
-#endif
-    }
-
-    const char *name() const { return name_; }
-    uint16_t level() const { return level_; }
-
-  private:
-    const char *name_;
-    uint16_t level_;
-#if REPLAY_SYNC_CHECKED
-    std::atomic<bool> held_{false};
-    std::atomic<const char *> lastFile_{""};
-    std::atomic<unsigned> lastLine_{0};
-#endif
-};
-
-/** RAII Role holder. */
-class SCOPED_CAPABILITY RoleGuard
-{
-  public:
-    explicit RoleGuard(Role &role, const char *file = __builtin_FILE(),
-                       unsigned line = __builtin_LINE()) ACQUIRE(role)
-        : role_(role)
-    {
-        role_.acquire(file, line);
-    }
-
-    ~RoleGuard() RELEASE_GENERIC() { role_.release(); }
-
-    RoleGuard(const RoleGuard &) = delete;
-    RoleGuard &operator=(const RoleGuard &) = delete;
-
-  private:
-    Role &role_;
 };
 
 } // namespace replay::sync

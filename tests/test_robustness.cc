@@ -434,89 +434,29 @@ TEST(Degradation, GovernedRunIsDeterministic)
 }
 
 // ---------------------------------------------------------------------
-// Tiered re-optimization under churn: background work for departed
-// frames must be cancelled (eviction) or shed (pressure), never leaked
+// Tiered re-optimization under memory pressure: every re-optimization
+// ends in exactly one terminal counter, and the run stays reproducible
 // ---------------------------------------------------------------------
 
 namespace {
 
-/** Every queued re-opt ends in exactly one terminal counter. */
+/** Every re-optimization ends in exactly one terminal counter. */
 void
 expectTierAccountingBalances(const sim::RunStats &stats)
 {
     EXPECT_EQ(stats.tierEnqueues,
               stats.tierPublishes + stats.tierVerifyRejects +
-                  stats.tierStaleDrops + stats.tierCancelled +
-                  stats.tierShed + stats.tierDroppedAtExit);
+                  stats.tierStaleDrops + stats.tierDroppedAtExit);
 }
 
 } // namespace
-
-TEST(TierChurn, SoftPressureShedsBackgroundWorkFirst)
-{
-    // The 128 KiB squeeze from TinyBudgetEngagesTheLadder, now with
-    // the tier engine on: re-opt work is the cheapest thing to drop,
-    // so SOFT pressure must shed pending jobs before frames are
-    // sacrificed.  Whether any job is *pending* at the moment SOFT
-    // trips is a worker-timing race, so one attempt can legitimately
-    // observe zero sheds; the accounting invariant must hold on every
-    // attempt, and a handful of attempts must show the shed path
-    // firing.
-    uint64_t total_shed = 0;
-    for (unsigned attempt = 0; attempt < 5; ++attempt) {
-        SimConfig cfg = SimConfig::make(Machine::RPO);
-        cfg.maxInsts = 30000;
-        cfg.governor.budgetBytes = 128u << 10;
-        cfg.engine.tier.workers = 1;
-        cfg.engine.tier.hotThreshold = 1;   // keep the queue loaded
-
-        const sim::RunStats stats = runRpo(cfg);
-        EXPECT_GE(stats.x86Retired, cfg.maxInsts);
-        EXPECT_GT(stats.govSoftTransitions, 0u);
-        expectTierAccountingBalances(stats);
-        total_shed += stats.tierShed;
-        if (total_shed)
-            break;
-    }
-    EXPECT_GT(total_shed, 0u) << "SOFT pressure never shed re-opt";
-}
-
-TEST(TierChurn, EvictedFramesCancelTheirPendingReopt)
-{
-    // A 512-uop cache churns hot crafty frames in and out while one
-    // background worker lags behind the enqueue rate.  Every eviction
-    // of a frame with a job still pending must cancel that job (the
-    // stale-work leak fix); a job already past the pop races the
-    // eviction and lands as a stale drop instead.  Either way the
-    // accounting must balance — a leak would leave enqueues
-    // unaccounted for.
-    uint64_t total_hit = 0;
-    for (unsigned attempt = 0; attempt < 5; ++attempt) {
-        SimConfig cfg = SimConfig::make(Machine::RPO);
-        cfg.maxInsts = 60000;
-        cfg.engine.fcacheCapacityUops = 512;
-        cfg.engine.tier.workers = 1;
-
-        const sim::RunStats stats = runRpo(cfg, "crafty");
-        EXPECT_GE(stats.x86Retired, cfg.maxInsts);
-        EXPECT_GT(stats.fcacheEvictions, 0u);
-        EXPECT_GT(stats.tierEnqueues, 0u);
-        expectTierAccountingBalances(stats);
-        total_hit += stats.tierCancelled + stats.tierStaleDrops;
-        if (total_hit)
-            break;
-    }
-    EXPECT_GT(total_hit, 0u)
-        << "churn never intersected in-flight re-opt work";
-}
 
 TEST(TierChurn, GovernedDeterministicTierIsReproducible)
 {
     SimConfig cfg = SimConfig::make(Machine::RPO);
     cfg.maxInsts = 30000;
     cfg.governor.budgetBytes = 192u << 10;
-    cfg.engine.tier.workers = 1;
-    cfg.engine.tier.deterministic = true;
+    cfg.engine.tier.enabled = true;
     const sim::RunStats a = runRpo(cfg);
     const sim::RunStats b = runRpo(cfg);
     EXPECT_EQ(a.fingerprint(), b.fingerprint());

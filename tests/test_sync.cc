@@ -2,8 +2,7 @@
  * @file
  * The capability-annotated synchronization layer (util/sync.hh): the
  * ranked lock-hierarchy checker's PANIC paths (via the death-test
- * hook), CondVar wait/predicate semantics, SharedMutex reader/writer
- * exclusion, Role single-owner enforcement, and a multi-thread stress
+ * hook), CondVar wait/predicate semantics, and a multi-thread stress
  * of the wrappers that the tier-1 TSan stage re-runs under
  * ThreadSanitizer.
  *
@@ -15,7 +14,6 @@
 #include <gtest/gtest.h>
 
 #include <atomic>
-#include <chrono>
 #include <stdexcept>
 #include <string>
 #include <thread>
@@ -52,20 +50,6 @@ struct DeathScope
     ~DeathScope() { setDeathHandler(prev); }
 };
 
-/** Spin until @p flag or a generous deadline (never flaky-fast). */
-bool
-spinUntil(const std::atomic<bool> &flag)
-{
-    const auto deadline =
-        std::chrono::steady_clock::now() + std::chrono::seconds(30);
-    while (!flag.load(std::memory_order_acquire)) {
-        if (std::chrono::steady_clock::now() > deadline)
-            return false;
-        std::this_thread::yield();
-    }
-    return true;
-}
-
 } // anonymous namespace
 
 // ---------------------------------------------------------------------
@@ -90,19 +74,19 @@ TEST(SyncHierarchy, OutOfOrderAcquisitionPanicsWithBothSites)
 {
     if (!sync::hierarchyChecked())
         GTEST_SKIP() << "hierarchy checker compiled out (Release)";
-    sync::Mutex lo{"engine_rank", sync::rank::ENGINE};
-    sync::Mutex hi{"governor_rank", sync::rank::GOVERNOR};
+    sync::Mutex lo{"pool_rank", sync::rank::POOL};
+    sync::Mutex hi{"registry_rank", sync::rank::TRACE_REGISTRY};
     DeathScope death;
     hi.lock();
-    // The deliberately inverted acquisition: governor-ranked lock
-    // held, engine-ranked requested — the deadlock shape the checker
+    // The deliberately inverted acquisition: registry-ranked lock
+    // held, pool-ranked requested — the deadlock shape the checker
     // exists to catch.
     EXPECT_THROW(lo.lock(), std::runtime_error);
     hi.unlock();
     EXPECT_EQ(lastDeath.kind, "panic");
     // Both capabilities and both acquisition sites are in the report.
-    EXPECT_NE(lastDeath.message.find("engine_rank"), std::string::npos);
-    EXPECT_NE(lastDeath.message.find("governor_rank"),
+    EXPECT_NE(lastDeath.message.find("pool_rank"), std::string::npos);
+    EXPECT_NE(lastDeath.message.find("registry_rank"),
               std::string::npos);
     EXPECT_NE(lastDeath.message.find("test_sync.cc"), std::string::npos);
     EXPECT_EQ(sync::heldCapabilities(), 0u);
@@ -165,63 +149,6 @@ TEST(SyncHierarchy, ReportRankIsReachableFromUnderAnyLock)
     sync::Mutex mu{"holder", sync::rank::LEAF};
     sync::LockGuard hold(mu);
     warn("sync test: reporting from under a LEAF lock is in order");
-}
-
-// ---------------------------------------------------------------------
-// Role: exclusive sequential ownership
-// ---------------------------------------------------------------------
-
-TEST(SyncRole, RecursiveAcquisitionPanics)
-{
-    if (!sync::hierarchyChecked())
-        GTEST_SKIP() << "hierarchy checker compiled out (Release)";
-    sync::Role role{"engine_role", sync::rank::ENGINE};
-    DeathScope death;
-    role.acquire();
-    // Re-entry trips the same-rank rule — the shape a governor
-    // alloc-failure hook calling back into the governor would take.
-    EXPECT_THROW(role.acquire(), std::runtime_error);
-    role.release();
-    EXPECT_NE(lastDeath.message.find("engine_role"), std::string::npos);
-}
-
-TEST(SyncRole, CrossThreadOverlapPanicsOnTheSecondThread)
-{
-    if (!sync::hierarchyChecked())
-        GTEST_SKIP() << "hierarchy checker compiled out (Release)";
-    sync::Role role{"session_role", sync::rank::ENGINE};
-    DeathScope death;
-    role.acquire();
-    std::atomic<bool> caught{false};
-    std::thread intruder([&] {
-        try {
-            role.acquire();
-            role.release();     // not reached
-        } catch (const std::runtime_error &) {
-            caught.store(true, std::memory_order_release);
-        }
-    });
-    intruder.join();
-    role.release();
-    EXPECT_TRUE(caught.load());
-    EXPECT_NE(lastDeath.message.find("session_role"),
-              std::string::npos);
-    // The owner's hold is intact: re-acquire after release works.
-    role.acquire();
-    role.release();
-}
-
-TEST(SyncRole, GuardComposesWithRankedMutexes)
-{
-    sync::Role engine{"engine", sync::rank::ENGINE};
-    sync::Mutex queue{"queue", sync::rank::BGQUEUE};
-    {
-        sync::RoleGuard hold(engine);
-        sync::LockGuard lock(queue);   // 10 -> 30: in order
-        EXPECT_EQ(sync::heldCapabilities(),
-                  sync::hierarchyChecked() ? 2u : 0u);
-    }
-    EXPECT_EQ(sync::heldCapabilities(), 0u);
 }
 
 // ---------------------------------------------------------------------
@@ -299,103 +226,26 @@ TEST(SyncUniqueLock, ManualLockUnlockTracksOwnership)
 }
 
 // ---------------------------------------------------------------------
-// SharedMutex reader/writer exclusion
-// ---------------------------------------------------------------------
-
-TEST(SyncSharedMutex, ReadersShareWritersExclude)
-{
-    sync::SharedMutex mu{"rw"};
-    std::atomic<int> readersInside{0};
-    std::atomic<bool> bothSeen{false};
-    std::atomic<bool> release{false};
-
-    auto reader = [&] {
-        sync::ReadLockGuard lock(mu);
-        readersInside.fetch_add(1, std::memory_order_acq_rel);
-        const auto deadline = std::chrono::steady_clock::now() +
-                              std::chrono::seconds(30);
-        // Hold until both readers are inside simultaneously — proof
-        // that shared acquisition really is shared.
-        while (!bothSeen.load(std::memory_order_acquire) &&
-               std::chrono::steady_clock::now() < deadline) {
-            if (readersInside.load(std::memory_order_acquire) == 2)
-                bothSeen.store(true, std::memory_order_release);
-            std::this_thread::yield();
-        }
-        readersInside.fetch_sub(1, std::memory_order_acq_rel);
-    };
-    std::thread r1(reader), r2(reader);
-    r1.join();
-    r2.join();
-    EXPECT_TRUE(bothSeen.load());
-
-    // Writer excludes readers: with the writer inside, a late reader
-    // must observe the writer's completed state, never a torn one.
-    int shared_value = 0;
-    std::atomic<bool> writerIn{false};
-    std::thread writer([&] {
-        sync::WriteLockGuard lock(mu);
-        writerIn.store(true, std::memory_order_release);
-        shared_value = 1;
-        while (!release.load(std::memory_order_acquire))
-            std::this_thread::yield();
-        shared_value = 2;
-    });
-    ASSERT_TRUE(spinUntil(writerIn));
-    release.store(true, std::memory_order_release);
-    {
-        sync::ReadLockGuard lock(mu);
-        // The reader can only get in after the writer fully finished.
-        EXPECT_EQ(shared_value, 2);
-    }
-    writer.join();
-}
-
-TEST(SyncSharedMutex, SharedAcquisitionObeysTheHierarchy)
-{
-    if (!sync::hierarchyChecked())
-        GTEST_SKIP() << "hierarchy checker compiled out (Release)";
-    sync::SharedMutex lo{"shared_lo", 10};
-    sync::Mutex hi{"plain_hi", 20};
-    DeathScope death;
-    hi.lock();
-    EXPECT_THROW(lo.lock_shared(), std::runtime_error);
-    hi.unlock();
-}
-
-// ---------------------------------------------------------------------
 // Stress (re-run under TSan by the tier-1 sync stage)
 // ---------------------------------------------------------------------
 
-TEST(SyncStress, MutexCondVarSharedMutexHammer)
+TEST(SyncStress, MutexCondVarHammer)
 {
     constexpr int THREADS = 8;
     constexpr int ITERS = 2000;
 
     sync::Mutex mu{"stress_mutex", 10};
-    sync::SharedMutex rw{"stress_rw", 20};
     sync::CondVar cv;
     long counter = 0;           // guarded by mu
-    long rwCounter = 0;         // guarded by rw
 
     std::vector<std::thread> threads;
     threads.reserve(THREADS);
     for (int t = 0; t < THREADS; ++t) {
-        threads.emplace_back([&, t] {
+        threads.emplace_back([&] {
             for (int i = 0; i < ITERS; ++i) {
                 {
                     sync::LockGuard lock(mu);
                     ++counter;
-                }
-                if (t % 2 == 0) {
-                    sync::WriteLockGuard lock(rw);
-                    ++rwCounter;
-                } else {
-                    // Readers verify a non-torn value; 10 -> 20 also
-                    // exercises in-order nesting under load.
-                    sync::LockGuard outer(mu);
-                    sync::ReadLockGuard lock(rw);
-                    EXPECT_GE(rwCounter, 0);
                 }
                 // try_lock under contention may fail; fall back to a
                 // blocking acquisition so the final count stays exact.
@@ -412,5 +262,4 @@ TEST(SyncStress, MutexCondVarSharedMutexHammer)
 
     sync::LockGuard lock(mu);
     EXPECT_EQ(counter, long(THREADS) * ITERS * 2);
-    EXPECT_EQ(rwCounter, long(THREADS / 2) * ITERS);
 }

@@ -1,19 +1,14 @@
 /**
  * @file
- * Tier-stress battery for the background re-optimization engine:
- * BackgroundQueue scheduling/cancellation semantics (including a
- * multi-worker hammer meant to run under TSan), the frame cache's
- * versioned-slot publish protocol, and end-to-end engine runs proving
- * that asynchronous re-optimization converges to the same
- * architectural digest as synchronous full optimization.
+ * Tier battery for the tiered re-optimization engine: the frame
+ * cache's versioned-slot publish protocol, and end-to-end engine runs
+ * proving that every re-optimization is accounted for and that tiered
+ * runs are reproducible.
  */
 
 #include <gtest/gtest.h>
 
-#include <atomic>
-#include <condition_variable>
 #include <memory>
-#include <mutex>
 #include <vector>
 
 #include "core/framecache.hh"
@@ -21,9 +16,6 @@
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
 #include "trace/workload.hh"
-#include "util/bgqueue.hh"
-#include "util/cancellation.hh"
-#include "util/rng.hh"
 
 using namespace replay;
 using core::Frame;
@@ -31,379 +23,6 @@ using core::FrameCache;
 using core::FramePtr;
 using sim::Machine;
 using sim::SimConfig;
-
-// ---------------------------------------------------------------------
-// BackgroundQueue unit tests
-// ---------------------------------------------------------------------
-
-namespace {
-
-struct TestJob
-{
-    int id = 0;
-    size_t memoryBytes() const { return sizeof(*this); }
-};
-
-struct TestResult
-{
-    int id = 0;
-    size_t memoryBytes() const { return sizeof(*this); }
-};
-
-using TestQueue = BackgroundQueue<TestJob, TestResult>;
-
-/**
- * Two-phase latch: the gate job signals it has been popped by a
- * worker (so the test knows later submissions stay *pending*), then
- * blocks until the test releases it.
- */
-struct Gate
-{
-    std::mutex m;
-    std::condition_variable cv;
-    bool entered = false;
-    bool released = false;
-
-    void
-    enter()
-    {
-        {
-            std::lock_guard<std::mutex> lock(m);
-            entered = true;
-        }
-        cv.notify_all();
-        std::unique_lock<std::mutex> lock(m);
-        cv.wait(lock, [&] { return released; });
-    }
-
-    void
-    waitEntered()
-    {
-        std::unique_lock<std::mutex> lock(m);
-        cv.wait(lock, [&] { return entered; });
-    }
-
-    void
-    release()
-    {
-        {
-            std::lock_guard<std::mutex> lock(m);
-            released = true;
-        }
-        cv.notify_all();
-    }
-};
-
-} // namespace
-
-TEST(BackgroundQueue, InlineModeRunsOnSubmit)
-{
-    std::vector<int> ran;
-    TestQueue queue(0, [&](TestJob &job) {
-        ran.push_back(job.id);
-        return TestResult{job.id};
-    });
-    EXPECT_EQ(queue.numWorkers(), 0u);
-
-    queue.submit(0x1000, 5, TestJob{1});
-    queue.submit(0x2000, 9, TestJob{2});
-    // Inline mode: each job ran before submit() returned, in
-    // submission order (priority only reorders *pending* work).
-    EXPECT_EQ(ran, (std::vector<int>{1, 2}));
-    EXPECT_EQ(queue.pendingCount(), 0u);
-    EXPECT_EQ(queue.executedCount(), 2u);
-
-    ASSERT_TRUE(queue.hasCompleted());
-    std::vector<TestResult> results;
-    queue.takeCompleted(results);
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].id, 1);
-    EXPECT_EQ(results[1].id, 2);
-    EXPECT_FALSE(queue.hasCompleted());
-}
-
-TEST(BackgroundQueue, WorkersPopHighestPriorityFirst)
-{
-    Gate gate;
-    std::mutex order_mutex;
-    std::vector<int> order;
-    TestQueue queue(1, [&](TestJob &job) {
-        if (job.id == 0)
-            gate.enter();
-        std::lock_guard<std::mutex> lock(order_mutex);
-        order.push_back(job.id);
-        return TestResult{job.id};
-    });
-
-    // The gate job occupies the only worker; everything submitted
-    // while it blocks accumulates in the pending list.
-    queue.submit(0, 1000, TestJob{0});
-    gate.waitEntered();
-    queue.submit(1, 1, TestJob{1});
-    queue.submit(2, 5, TestJob{2});
-    queue.submit(3, 3, TestJob{3});
-    EXPECT_EQ(queue.pendingCount(), 3u);
-
-    gate.release();
-    queue.waitIdle();
-    // Priority order (5, 3, 1), not submission order (1, 5, 3).
-    EXPECT_EQ(order, (std::vector<int>{0, 2, 3, 1}));
-}
-
-TEST(BackgroundQueue, EqualPrioritiesKeepSubmissionOrder)
-{
-    Gate gate;
-    std::mutex order_mutex;
-    std::vector<int> order;
-    TestQueue queue(1, [&](TestJob &job) {
-        if (job.id == 0)
-            gate.enter();
-        std::lock_guard<std::mutex> lock(order_mutex);
-        order.push_back(job.id);
-        return TestResult{job.id};
-    });
-
-    queue.submit(0, 1000, TestJob{0});
-    gate.waitEntered();
-    for (int id = 1; id <= 4; ++id)
-        queue.submit(uint64_t(id), 7, TestJob{id});
-    gate.release();
-    queue.waitIdle();
-    EXPECT_EQ(order, (std::vector<int>{0, 1, 2, 3, 4}));
-}
-
-TEST(BackgroundQueue, CancelDropsPendingItemsForOneKeyOnly)
-{
-    Gate gate;
-    TestQueue queue(1, [&](TestJob &job) {
-        if (job.id == 0)
-            gate.enter();
-        return TestResult{job.id};
-    });
-
-    queue.submit(99, 1000, TestJob{0});
-    gate.waitEntered();
-    queue.submit(42, 1, TestJob{1});
-    queue.submit(42, 2, TestJob{2});
-    queue.submit(7, 3, TestJob{3});
-
-    // Both pending items for key 42 drop; key 7 survives, and the
-    // in-flight gate job is untouched (cancel never reaches running
-    // work — staleness is the consumer's problem).
-    EXPECT_EQ(queue.cancel(42), 2u);
-    EXPECT_EQ(queue.cancel(1234), 0u);
-    EXPECT_EQ(queue.pendingCount(), 1u);
-
-    gate.release();
-    queue.waitIdle();
-    EXPECT_EQ(queue.executedCount(), 2u);   // gate + key 7
-
-    std::vector<TestResult> results;
-    queue.takeCompleted(results);
-    ASSERT_EQ(results.size(), 2u);
-    EXPECT_EQ(results[0].id, 0);
-    EXPECT_EQ(results[1].id, 3);
-}
-
-TEST(BackgroundQueue, ShedAllReturnsTheDroppedKeys)
-{
-    Gate gate;
-    TestQueue queue(1, [&](TestJob &job) {
-        if (job.id == 0)
-            gate.enter();
-        return TestResult{job.id};
-    });
-
-    queue.submit(5, 1000, TestJob{0});
-    gate.waitEntered();
-    queue.submit(10, 1, TestJob{1});
-    queue.submit(20, 2, TestJob{2});
-    queue.submit(30, 3, TestJob{3});
-
-    const std::vector<uint64_t> keys = queue.shedAll();
-    EXPECT_EQ(keys, (std::vector<uint64_t>{10, 20, 30}));
-    EXPECT_EQ(queue.pendingCount(), 0u);
-
-    gate.release();
-    queue.waitIdle();
-    EXPECT_EQ(queue.executedCount(), 1u);
-}
-
-TEST(BackgroundQueue, CancelTokenDropsPendingWork)
-{
-    CancelSource source;
-    unsigned ran = 0;
-    TestQueue queue(0, [&](TestJob &job) {
-        ++ran;
-        return TestResult{job.id};
-    });
-    queue.setCancelToken(source.token());
-
-    queue.submit(1, 0, TestJob{1});
-    EXPECT_EQ(ran, 1u);
-
-    source.cancel();
-    queue.submit(2, 0, TestJob{2});
-    // The pump saw the tripped token and dropped the item instead of
-    // running it.
-    EXPECT_EQ(ran, 1u);
-    EXPECT_EQ(queue.executedCount(), 1u);
-    EXPECT_EQ(queue.pendingCount(), 0u);
-}
-
-TEST(BackgroundQueue, RunnerExceptionSurfacesFromWaitIdle)
-{
-    TestQueue queue(2, [](TestJob &job) -> TestResult {
-        if (job.id < 0)
-            throw std::runtime_error("worker failure");
-        return TestResult{job.id};
-    });
-    queue.submit(1, 0, TestJob{-1});
-    EXPECT_THROW(queue.waitIdle(), std::runtime_error);
-    // The queue survives a failed job: later work runs normally.
-    queue.submit(2, 0, TestJob{2});
-    EXPECT_NO_THROW(queue.waitIdle());
-    std::vector<TestResult> results;
-    queue.takeCompleted(results);
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].id, 2);
-}
-
-TEST(BackgroundQueue, MemoryBytesTracksPendingAndCompleted)
-{
-    Gate gate;
-    TestQueue queue(1, [&](TestJob &job) {
-        if (job.id == 0)
-            gate.enter();
-        return TestResult{job.id};
-    });
-    const size_t empty = queue.memoryBytes();
-
-    queue.submit(0, 1000, TestJob{0});
-    gate.waitEntered();
-    queue.submit(1, 1, TestJob{1});
-    EXPECT_GT(queue.memoryBytes(), empty);
-
-    gate.release();
-    queue.waitIdle();
-    // Undrained results still count until the consumer takes them.
-    EXPECT_GT(queue.memoryBytes(), empty);
-    std::vector<TestResult> results;
-    queue.takeCompleted(results);
-    EXPECT_EQ(queue.memoryBytes(), empty);
-}
-
-/**
- * TSan target: four workers racing the producer thread through
- * submit / cancel / shedAll / takeCompleted.  The invariant checked
- * at the end — every submitted job either executed or was dropped by
- * an explicit cancel/shed, and every executed job's result was
- * collected — would be violated by any lost-wakeup or double-pop bug.
- */
-TEST(BackgroundQueueStress, ConcurrentSubmitCancelShedHammer)
-{
-    std::atomic<uint64_t> ran{0};
-    TestQueue queue(4, [&](TestJob &job) {
-        ran.fetch_add(1, std::memory_order_relaxed);
-        return TestResult{job.id};
-    });
-
-    Rng rng(0x7135);
-    uint64_t submitted = 0, dropped = 0;
-    std::vector<TestResult> results;
-    for (int step = 0; step < 3000; ++step) {
-        switch (rng.below(10)) {
-          case 0:
-            dropped += queue.cancel(uint64_t(step % 7));
-            break;
-          case 1:
-            if (step % 13 == 0)
-                dropped += queue.shedAll().size();
-            break;
-          case 2:
-            if (queue.hasCompleted())
-                queue.takeCompleted(results);
-            break;
-          default:
-            queue.submit(uint64_t(step % 7), int64_t(rng.below(5)),
-                         TestJob{step});
-            ++submitted;
-            break;
-        }
-    }
-    queue.waitIdle();
-    queue.takeCompleted(results);
-
-    EXPECT_EQ(queue.pendingCount(), 0u);
-    EXPECT_EQ(queue.executedCount() + dropped, submitted);
-    EXPECT_EQ(results.size(), queue.executedCount());
-    EXPECT_EQ(ran.load(), queue.executedCount());
-}
-
-TEST(BackgroundQueueStress, SetCancelTokenRacesWithWorkerPump)
-{
-    // Regression for a missed guard found by the thread-safety
-    // annotation sweep: setCancelToken() rebound the stored token (a
-    // shared_ptr copy) without the queue mutex while workers read it
-    // inside pump()'s critical section.  The token is now
-    // GUARDED_BY(mutex_); this hammer runs rebinding and pumping
-    // concurrently so the tier-1 TSan sync stage would catch any
-    // relapse.
-    std::atomic<uint64_t> ran{0};
-    TestQueue queue(4, [&](TestJob &job) {
-        ran.fetch_add(1, std::memory_order_relaxed);
-        return TestResult{job.id};
-    });
-
-    std::atomic<bool> stop{false};
-    std::thread rebinder([&] {
-        while (!stop.load(std::memory_order_acquire)) {
-            CancelSource source;        // fresh, untripped state
-            queue.setCancelToken(source.token());
-        }
-    });
-    for (int i = 0; i < 2000; ++i)
-        queue.submit(uint64_t(i % 5), i % 3, TestJob{i});
-    queue.waitIdle();
-    stop.store(true, std::memory_order_release);
-    rebinder.join();
-
-    // Every token installed was untripped, so nothing was dropped.
-    EXPECT_EQ(queue.pendingCount(), 0u);
-    EXPECT_EQ(queue.executedCount(), 2000u);
-    EXPECT_EQ(ran.load(), 2000u);
-}
-
-TEST(BackgroundQueue, CancelDuringPopWindowRunsToCompletion)
-{
-    // Documents the cancel(key)-vs-worker-pop window the annotation
-    // sweep examined: an item a worker has already popped is beyond
-    // cancel's reach — cancel(key) returns 0, the job runs to
-    // completion, and its (now stale) result still arrives in the
-    // inbox.  Consumers must detect staleness themselves; the tier
-    // engine does so with frame-id checks at publication, and keeps
-    // the key in its in-flight set until the stale result is drained
-    // (which is what re-arms wantsReopt for that frame).
-    Gate gate;
-    TestQueue queue(1, [&](TestJob &job) {
-        if (job.id == 0)
-            gate.enter();
-        return TestResult{job.id};
-    });
-
-    queue.submit(42, 0, TestJob{0});
-    gate.waitEntered();
-    // The worker holds the popped item; nothing is pending.
-    EXPECT_EQ(queue.cancel(42), 0u);
-    gate.release();
-    queue.waitIdle();
-
-    EXPECT_EQ(queue.executedCount(), 1u);
-    std::vector<TestResult> results;
-    queue.takeCompleted(results);
-    ASSERT_EQ(results.size(), 1u);
-    EXPECT_EQ(results[0].id, 0);
-}
 
 // ---------------------------------------------------------------------
 // FrameCache versioned-slot publication
@@ -540,42 +159,39 @@ TEST(FrameCacheEviction, ListenerSeesEveryDepartureButNotPublishes)
 namespace {
 
 sim::RunStats
-runTiered(const std::string &app, unsigned workers, bool deterministic,
-          uint64_t insts = 30000, bool verify_online = false)
+runTiered(const std::string &app, bool tier, uint64_t insts = 30000,
+          bool verify_online = false)
 {
     SimConfig cfg = SimConfig::make(Machine::RPO);
     cfg.maxInsts = insts;
     cfg.verifyOnline = verify_online;
-    cfg.engine.tier.workers = workers;
-    cfg.engine.tier.deterministic = deterministic;
+    cfg.engine.tier.enabled = tier;
     auto src = trace::findWorkload(app).openTrace(0, cfg.maxInsts);
     sim::Simulator simulator(cfg);
     return simulator.run(*src);
 }
 
 /**
- * Every queued re-optimization must be accounted for: published,
- * rejected by the verifier, dropped as stale, cancelled on eviction,
- * shed under pressure, or dropped at exit.  A leak in the inflight
- * bookkeeping shows up as an imbalance here.
+ * Every re-optimization must be accounted for: published, rejected by
+ * the verifier, dropped as stale, or left unpublished at exit.  A leak
+ * in the inflight bookkeeping shows up as an imbalance here.
  */
 void
 expectTierAccountingBalances(const sim::RunStats &stats)
 {
     EXPECT_EQ(stats.tierEnqueues,
               stats.tierPublishes + stats.tierVerifyRejects +
-                  stats.tierStaleDrops + stats.tierCancelled +
-                  stats.tierShed + stats.tierDroppedAtExit);
+                  stats.tierStaleDrops + stats.tierDroppedAtExit);
 }
 
 } // namespace
 
-TEST(TierEngineRun, BackgroundReoptPublishesHotFrames)
+TEST(TierEngineRun, InlineReoptPublishesHotFrames)
 {
-    const sim::RunStats stats = runTiered("gzip", 2, false);
+    const sim::RunStats stats = runTiered("gzip", true);
     EXPECT_GT(stats.frameCommits, 0u);
     EXPECT_GT(stats.tierEnqueues, 0u);
-    EXPECT_GT(stats.tierReopts, 0u);
+    EXPECT_EQ(stats.tierReopts, stats.tierEnqueues);
     EXPECT_GT(stats.tierPublishes, 0u);
     // The full pipeline removes micro-ops the cheap tier could not.
     EXPECT_GT(stats.tierUopsRemoved, 0u);
@@ -585,7 +201,7 @@ TEST(TierEngineRun, BackgroundReoptPublishesHotFrames)
 
 TEST(TierEngineRun, UntieredRunHasZeroTierCounters)
 {
-    const sim::RunStats stats = runTiered("gzip", 0, false);
+    const sim::RunStats stats = runTiered("gzip", false);
     EXPECT_EQ(stats.tierEnqueues, 0u);
     EXPECT_EQ(stats.tierReopts, 0u);
     EXPECT_EQ(stats.tierPublishes, 0u);
@@ -594,45 +210,39 @@ TEST(TierEngineRun, UntieredRunHasZeroTierCounters)
 
 TEST(TierEngineRun, DeterministicTierModeIsReproducible)
 {
-    const sim::RunStats a = runTiered("bzip2", 1, true);
-    const sim::RunStats b = runTiered("bzip2", 1, true);
+    const sim::RunStats a = runTiered("bzip2", true);
+    const sim::RunStats b = runTiered("bzip2", true);
     EXPECT_GT(a.tierPublishes, 0u);
     EXPECT_EQ(a.fingerprint(), b.fingerprint());
     expectTierAccountingBalances(a);
 }
 
 /**
- * The acceptance bar for the whole tier: whether re-optimization runs
- * synchronously at admission (tier off), asynchronously on background
- * workers, or inline in deterministic mode, every workload must retire
- * the same architectural state — same online-verifier digest, zero
- * detections, zero corrupt commits.  Timing may differ (publication
- * points shift); semantics may not.
+ * The acceptance bar for the whole tier: whether a frame gets the full
+ * pipeline at admission (tier off) or is admitted cheap and
+ * re-optimized once hot, every workload must retire the same
+ * architectural state — same online-verifier digest, zero detections,
+ * zero corrupt commits.  Timing may differ (publication points shift);
+ * semantics may not.
  */
-TEST(TierConvergence, AsyncMatchesSyncArchitecturalDigest)
+TEST(TierConvergence, TieredMatchesUntieredArchitecturalDigest)
 {
     for (const auto &workload : trace::standardWorkloads()) {
-        const sim::RunStats sync =
-            runTiered(workload.name, 0, false, 16000, true);
-        const sim::RunStats async =
-            runTiered(workload.name, 2, false, 16000, true);
-        const sim::RunStats det =
-            runTiered(workload.name, 1, true, 16000, true);
+        const sim::RunStats untiered =
+            runTiered(workload.name, false, 16000, true);
+        const sim::RunStats tiered =
+            runTiered(workload.name, true, 16000, true);
 
-        ASSERT_TRUE(sync.archDigestValid) << workload.name;
-        ASSERT_TRUE(async.archDigestValid) << workload.name;
-        ASSERT_TRUE(det.archDigestValid) << workload.name;
-        EXPECT_EQ(async.archDigest, sync.archDigest) << workload.name;
-        EXPECT_EQ(det.archDigest, sync.archDigest) << workload.name;
+        ASSERT_TRUE(untiered.archDigestValid) << workload.name;
+        ASSERT_TRUE(tiered.archDigestValid) << workload.name;
+        EXPECT_EQ(tiered.archDigest, untiered.archDigest)
+            << workload.name;
 
-        EXPECT_EQ(sync.verifyDetections, 0u) << workload.name;
-        EXPECT_EQ(async.verifyDetections, 0u) << workload.name;
-        EXPECT_EQ(det.verifyDetections, 0u) << workload.name;
-        EXPECT_EQ(async.corruptFrameCommits, 0u) << workload.name;
-        EXPECT_EQ(det.corruptFrameCommits, 0u) << workload.name;
+        EXPECT_EQ(untiered.verifyDetections, 0u) << workload.name;
+        EXPECT_EQ(tiered.verifyDetections, 0u) << workload.name;
+        EXPECT_EQ(tiered.corruptFrameCommits, 0u) << workload.name;
 
-        expectTierAccountingBalances(async);
-        expectTierAccountingBalances(det);
+        expectTierAccountingBalances(tiered);
     }
 }
 
@@ -646,8 +256,7 @@ TEST(TierSweep, DeterministicTierDigestStableAcrossJobs)
     serial.jobs = 1;
     serial.instsPerTrace = 8000;
     serial.warmup = false;
-    serial.tierWorkers = 1;
-    serial.tierDeterministic = true;
+    serial.tier = true;
     sim::SweepOptions parallel = serial;
     parallel.jobs = 4;
 
@@ -658,11 +267,11 @@ TEST(TierSweep, DeterministicTierDigestStableAcrossJobs)
 }
 
 /**
- * TSan target for the full publish/acquire protocol: many short
- * governed, tiered runs back to back, with async workers racing the
- * sequencer thread through enqueue, drain, publish, eviction-cancel,
- * and pressure-shed.  Correctness is the accounting invariant plus a
- * clean online-verifier record on every iteration.
+ * The full publish protocol under memory pressure: many short
+ * governed, tiered runs back to back through re-optimization, drain,
+ * publish, eviction and pressure shedding.  Correctness is the
+ * accounting invariant plus a clean online-verifier record on every
+ * iteration.
  */
 TEST(TierStress, GovernedTieredSoakKeepsAccountsBalanced)
 {
@@ -670,7 +279,8 @@ TEST(TierStress, GovernedTieredSoakKeepsAccountsBalanced)
         SimConfig cfg = SimConfig::make(Machine::RPO);
         cfg.maxInsts = 12000;
         cfg.verifyOnline = true;
-        cfg.engine.tier.workers = 2 + round % 3;
+        cfg.engine.tier.enabled = true;
+        cfg.engine.tier.hotThreshold = 1 + round % 3;
         cfg.governor.budgetBytes = (192u + 64u * (round % 4)) << 10;
         const auto &workloads = trace::standardWorkloads();
         const auto &workload = workloads[round % workloads.size()];

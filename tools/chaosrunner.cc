@@ -26,16 +26,15 @@
  *   phase D (determinism)  with injection disabled, governed and
  *                          ungoverned sweep digests are bit-identical
  *                          across --jobs values;
- *   phase E (tier soak)    background re-optimization survives the
- *                          same governed + alloc-failure campaign (no
+ *   phase E (tier soak)    tiered re-optimization survives the same
+ *                          governed + alloc-failure campaign (no
  *                          corrupt commit escapes, memory stays
  *                          bounded), a mid-run cancellation aborts a
- *                          tiered run cleanly with its pending re-opt
- *                          work dropped, deterministic tier mode
- *                          reproduces its fingerprint bit-for-bit
- *                          under injection, and with injection off the
- *                          async tier retires the same architectural
- *                          digest as the synchronous full optimizer.
+ *                          tiered run cleanly, a tiered run reproduces
+ *                          its fingerprint bit-for-bit under
+ *                          injection, and with injection off the tiered
+ *                          engine retires the same architectural digest
+ *                          as the untiered full optimizer.
  *
  * Exit status is 0 iff every phase passed; run it under ASan/UBSan to
  * extend "no crash" to "no leak, no UB" (scripts/tier1.sh does).
@@ -407,14 +406,14 @@ phaseTierSoak(const Options &opt)
 {
     const auto &workloads = trace::standardWorkloads();
 
-    // E1: the phase-A campaign with background re-optimization on.
+    // E1: the phase-A campaign with tiered re-optimization on.
     // Alloc failures now also hit the tier's enqueue and publish
     // sites, and pass sabotage hits re-optimized bodies — which the
     // pre-publication lint gate must catch (rejects, not corruption).
     unsigned completed = 0;
     for (unsigned seed = 0; seed < opt.seeds; ++seed) {
         SimConfig cfg = chaosConfig(opt, seed);
-        cfg.engine.tier.workers = 1 + seed % 3;
+        cfg.engine.tier.enabled = true;
         cfg.engine.tier.hotThreshold = 1 + seed % 2;
         const auto &workload = workloads[seed % workloads.size()];
         try {
@@ -441,15 +440,14 @@ phaseTierSoak(const Options &opt)
           std::to_string(opt.seeds - completed) +
               " tiered run(s) died");
 
-    // E2: cooperative cancellation mid-run.  The token is shared with
-    // the background queue, so pending re-opt work is dropped instead
-    // of keeping workers busy past the abort.
+    // E2: cooperative cancellation mid-run aborts a tiered run as
+    // cleanly as an untiered one.
     {
         CancelSource source;
         source.setDeadlineAfter(std::chrono::milliseconds(5));
         SimConfig cfg = SimConfig::make(Machine::RPO);
         cfg.maxInsts = 1u << 30;        // far beyond the deadline
-        cfg.engine.tier.workers = 2;
+        cfg.engine.tier.enabled = true;
         cfg.engine.tier.hotThreshold = 1;
         cfg.cancel = source.token();
         bool cancelled = false;
@@ -468,22 +466,21 @@ phaseTierSoak(const Options &opt)
               "deadline did not cancel the tiered run");
     }
 
-    // E3: deterministic tier mode reproduces bit-for-bit even under
-    // the full injection campaign.
+    // E3: a tiered run reproduces bit-for-bit even under the full
+    // injection campaign.
     {
         SimConfig cfg = chaosConfig(opt, 3);
-        cfg.engine.tier.workers = 1;
-        cfg.engine.tier.deterministic = true;
+        cfg.engine.tier.enabled = true;
         const uint64_t a = runOne(cfg, workloads[0], 0, nullptr);
         const uint64_t b = runOne(cfg, workloads[0], 0, nullptr);
         check(a == b, "tier",
-              "deterministic tier fingerprint not reproducible: " +
+              "tier fingerprint not reproducible: " +
                   std::to_string(a) + " vs " + std::to_string(b));
     }
 
-    // E4: with injection off, asynchronous re-optimization must retire
-    // exactly the architectural state of the synchronous full
-    // pipeline (the tier acceptance bar).
+    // E4: with injection off, tiered re-optimization must retire
+    // exactly the architectural state of the untiered full pipeline
+    // (the tier acceptance bar).
     unsigned converged = 0;
     const unsigned convergence_runs =
         unsigned(std::min<size_t>(4, workloads.size()));
@@ -492,7 +489,7 @@ phaseTierSoak(const Options &opt)
         sync_cfg.maxInsts = opt.insts;
         sync_cfg.verifyOnline = true;
         SimConfig tier_cfg = sync_cfg;
-        tier_cfg.engine.tier.workers = 2;
+        tier_cfg.engine.tier.enabled = true;
         try {
             auto sync_src = workloads[w].openTrace(0, opt.insts);
             sim::Simulator sync_sim(sync_cfg);
@@ -507,7 +504,7 @@ phaseTierSoak(const Options &opt)
                 tier_stats.verifyDetections == 0;
             check(same, "tier",
                   workloads[w].name +
-                      ": async tier diverged from sync full-opt");
+                      ": tiered run diverged from untiered full-opt");
             if (same)
                 ++converged;
         } catch (const std::exception &e) {
@@ -518,7 +515,7 @@ phaseTierSoak(const Options &opt)
     }
 
     std::printf("phase E (tier soak): %u/%u injected tiered runs, "
-                "%u/%u workloads converged async == sync\n",
+                "%u/%u workloads converged tiered == untiered\n",
                 completed, opt.seeds, converged, convergence_runs);
 }
 

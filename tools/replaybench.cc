@@ -16,7 +16,7 @@
  *
  * Usage:
  *   replaybench [--jobs N] [--insts N] [--json] [--list]
- *               [--static-check] [--tier N] [--tier-det]
+ *               [--static-check] [--tier]
  *               [--corpus corpus.json] [target ...]
  *
  * --corpus replays recorded trace containers (see tools/tracec) where
@@ -24,11 +24,10 @@
  * budget, falling back to live synthesis on misses; digests are
  * identical either way, and each sweep reports its hit/miss counts.
  *
- * --tier N enables the tiered re-optimization engine with N background
- * workers on every frame-machine (RP/RPO) cell: frames admit through
- * the cheap pass subset and hot ones are re-optimized with the full
- * budget off the critical path.  --tier-det runs re-opt jobs inline
- * (deterministic) so digests are comparable across runs.
+ * --tier enables the tiered re-optimization engine on every optimizing
+ * frame-machine (RPO) cell: frames admit through the cheap pass subset
+ * and hot ones are re-optimized with the full budget, then
+ * republished.  Digests stay comparable across runs and --jobs values.
  *
  * Targets: fig6 fig7_8 fig9 fig10 table3 coverage (default: all).
  *
@@ -262,7 +261,7 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--jobs N] [--insts N] [--json] [--list] "
-                 "[--static-check] [--tier N] [--tier-det] "
+                 "[--static-check] [--tier] "
                  "[--corpus corpus.json] [target ...]\n"
                  "targets: fig6 fig7_8 fig9 fig10 table3 coverage "
                  "(default: all)\n",
@@ -294,12 +293,7 @@ main(int argc, char **argv)
                 return usage(argv[0]);
             opts.instsPerTrace = sim::parseCount(argv[i], "--insts");
         } else if (arg == "--tier") {
-            if (++i >= argc)
-                return usage(argv[0]);
-            opts.tierWorkers =
-                unsigned(sim::parseCount(argv[i], "--tier"));
-        } else if (arg == "--tier-det") {
-            opts.tierDeterministic = true;
+            opts.tier = true;
         } else if (arg == "--corpus") {
             if (++i >= argc)
                 return usage(argv[0]);
@@ -374,16 +368,9 @@ main(int argc, char **argv)
                     (unsigned long long)insts, jobs);
     } else {
         std::printf("replaybench: %llu x86 insts per hot-spot trace, "
-                    "%u worker(s)%s\n",
+                    "%u worker(s)%s\n\n",
                     (unsigned long long)insts, jobs,
-                    opts.tierDeterministic ? ", deterministic tier"
-                                           : "");
-        if (opts.tierWorkers) {
-            std::printf("tiered re-opt: %u background worker(s) on "
-                        "frame-machine cells\n",
-                        opts.tierWorkers);
-        }
-        std::printf("\n");
+                    opts.tier ? ", tiered re-opt" : "");
     }
 
     double wall_total = 0;
