@@ -1,14 +1,14 @@
 /**
  * @file
  * Trace ingest bandwidth: v2 flat container (batched fread + per-record
- * FNV) vs the v3 chunked container on its buffered and mmap read paths,
+ * FNV) vs the v4 chunked container (static table + compact records),
  * raw and zlib codecs.
  *
- * This is the microbench behind the v3 design claim (DESIGN.md): the
- * word-at-a-time chunk checksum plus the zero-copy mmap decode must
- * ingest at least 2x the records/s of the v2 fread path.  The same
- * number feeds the perfgate `trace_ingest_mbps` metric; EXPERIMENTS.md
- * carries a measured before/after table.
+ * This is the microbench behind the chunked-container design claim
+ * (DESIGN.md): the word-at-a-time chunk checksum plus the compact
+ * record decode must ingest at least 2x the records/s of the v2 fread
+ * path.  The same number feeds the perfgate `trace_ingest_mbps`
+ * metric; EXPERIMENTS.md carries a measured before/after table.
  *
  * REPLAY_SIM_INSTS overrides the per-container record count.
  */
@@ -120,21 +120,14 @@ main()
             return std::unique_ptr<trace::TraceSource>(
                 new trace::FileTraceSource(v2_path));
         }));
-    trace::V3SourceOptions buffered;
-    buffered.preferMmap = false;
     rows.push_back(measure(
-        "v3 raw buffered", records, file_bytes(raw_path), [&] {
-            return std::unique_ptr<trace::TraceSource>(
-                new trace::TraceV3Source(raw_path, buffered));
-        }));
-    rows.push_back(measure(
-        "v3 raw mmap", records, file_bytes(raw_path), [&] {
+        "v4 raw", records, file_bytes(raw_path), [&] {
             return std::unique_ptr<trace::TraceSource>(
                 new trace::TraceV3Source(raw_path));
         }));
     if (trace::v3ZlibAvailable()) {
         rows.push_back(measure(
-            "v3 zlib mmap", records, file_bytes(zlib_path), [&] {
+            "v4 zlib", records, file_bytes(zlib_path), [&] {
                 return std::unique_ptr<trace::TraceSource>(
                     new trace::TraceV3Source(zlib_path));
             }));
@@ -147,8 +140,8 @@ main()
                     row.recordsPerSec, row.mbPerSec,
                     (unsigned long long)row.fileBytes);
 
-    const double ratio = rows[2].recordsPerSec / rows[0].recordsPerSec;
-    std::printf("\nv3 mmap / v2 fread: %.2fx %s\n", ratio,
+    const double ratio = rows[1].recordsPerSec / rows[0].recordsPerSec;
+    std::printf("\nv4 raw / v2 fread: %.2fx %s\n", ratio,
                 ratio >= 2.0 ? "(meets the >=2x ingest target)"
                              : "(BELOW the >=2x ingest target)");
 

@@ -31,8 +31,8 @@ else
     # (nondeterminism).  Gated metrics: sweep insts/s, engine frames/s,
     # and — since the SoA slab IR — pass-level optimizer opt-uops/s
     # (explore the same datapath interactively with the BM_Opt* benches
-    # in bench/bench_hotpath.cc), plus v3 mmap trace-ingest MB/s since
-    # the v3 container (full v2/v3 table: bench/bench_trace_ingest).  The checked-in baseline is the
+    # in bench/bench_hotpath.cc), plus v4 RAW trace-ingest MB/s (full
+    # v2/v4 table: bench/bench_trace_ingest).  The checked-in baseline is the
     # median of several runs, so the 25% floor absorbs machine noise
     # without hiding real regressions.  Skip with
     # REPLAY_SKIP_PERFGATE=1 (e.g. on heavily loaded or throttled
@@ -40,6 +40,19 @@ else
     "$BUILD/tools/perfgate" --check \
         --baseline bench/BENCH_hotpath.baseline.json \
         --out "$BUILD/BENCH_hotpath.json"
+fi
+
+echo "== tier-1: perfbench smoke (perfbench/smoke_test.py) =="
+if [ "${REPLAY_SKIP_PERFBENCH:-0}" = "1" ]; then
+    echo "warn: REPLAY_SKIP_PERFBENCH=1; skipping the perfbench smoke"
+else
+    # Every benchmark workload at a tiny budget, untraced and traced:
+    # each result line must be well formed and correct and name every
+    # metric with its unit, and a damaged corpus container must be
+    # counted as failed tasks — that check reads exactly the chunked
+    # trace container.  Builds its own tree in .bench_build/ (about a
+    # minute).  Skip with REPLAY_SKIP_PERFBENCH=1.
+    python3 perfbench/smoke_test.py
 fi
 
 echo "== tier-1: locking-discipline grep (sync::Mutex only) =="
@@ -103,18 +116,19 @@ cmake -B "$ASAN_BUILD" -S . -DCMAKE_BUILD_TYPE=Debug -DENABLE_SANITIZERS=ON
 cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_fuzz
 ctest --test-dir "$ASAN_BUILD" --output-on-failure -L fuzz-smoke
 
-echo "== tier-1: tracev3 corruption fuzz + round-trip under ASan+UBSan =="
+echo "== tier-1: trace container corruption fuzz + round-trip under ASan+UBSan =="
 if [ "${REPLAY_SKIP_TRACEV3:-0}" = "1" ]; then
     echo "warn: REPLAY_SKIP_TRACEV3=1; skipping the tracev3 stage"
 else
-    # v3 container battery re-run under ASan+UBSan: the corruption
-    # matrix and the 500-iteration random-mutation fuzz smoke feed
-    # deliberately damaged containers through the mmap and buffered
-    # decode paths, exactly where a bounds bug would hide from the
-    # functional checks; the round-trip tests pin v2->v3 stream
-    # equivalence for all 14 workloads.  Skip with
-    # REPLAY_SKIP_TRACEV3=1 (the normal-config run in the full suite
-    # above still covers the functional half).
+    # Chunked-container (format v4) battery re-run under ASan+UBSan:
+    # the corruption matrix, the forged-record cases and the
+    # 500-iteration random-mutation fuzz smoke feed deliberately
+    # damaged containers through the static-table loader and the
+    # compact-record decoder, exactly where a bounds bug would hide
+    # from the functional checks; the round-trip tests pin bit-identical
+    # records for every workload and hot spot and for the hand-built
+    # edge stream.  Skip with REPLAY_SKIP_TRACEV3=1 (the normal-config
+    # run in the full suite above still covers the functional half).
     cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_tracev3
     ctest --test-dir "$ASAN_BUILD" --output-on-failure -L tracev3
 fi

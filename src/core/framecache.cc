@@ -80,8 +80,6 @@ FrameCache::evictLru(const char *counter)
     frames_.erase(victim_pc);
     ++stats_.counter(counter);
     syncGovernor();
-    if (onEvict_)
-        onEvict_(victim_pc);
     return true;
 }
 
@@ -172,8 +170,6 @@ FrameCache::invalidate(uint32_t pc)
     frames_.erase(pc);
     ++stats_.counter("invalidations");
     syncGovernor();
-    if (onEvict_)
-        onEvict_(pc);
 }
 
 bool

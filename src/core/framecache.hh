@@ -33,7 +33,6 @@
 #define REPLAY_CORE_FRAMECACHE_HH
 
 #include <cstdint>
-#include <functional>
 
 #include "core/frame.hh"
 #include "util/flathash.hh"
@@ -81,17 +80,6 @@ class FrameCache
     isPinned(uint32_t pc) const
     {
         return pinnedValid_ && pinnedPc_ == pc;
-    }
-
-    /**
-     * Called with the start PC of every frame that leaves the cache
-     * (capacity eviction, pressure shed, or invalidation); a body
-     * swap by publish() is not a departure.
-     */
-    void
-    setEvictionListener(std::function<void(uint32_t)> listener)
-    {
-        onEvict_ = std::move(listener);
     }
 
     /**
@@ -162,7 +150,6 @@ class FrameCache
     uint32_t pinnedPc_ = 0;
     ResourceGovernor *governor_ = nullptr;
     unsigned governorId_ = 0;
-    std::function<void(uint32_t)> onEvict_;
     StatGroup stats_{"fcache"};
     Counter &hits_{stats_.counter("hits")};
     Counter &misses_{stats_.counter("misses")};

@@ -83,8 +83,7 @@ RePlayEngine::enqueueCandidate(FrameCandidate &cand, uint64_t now)
         return;
     }
     if (const FramePtr existing = cache_.probe(cand.startPc)) {
-        if (existing->pcs == cand.pcs ||
-            existing->pcs.size() >= cand.pcs.size()) {
+        if (existing->pcs.size() >= cand.pcs.size()) {
             ++duplicateCandidates_;
             return;
         }

@@ -47,7 +47,6 @@ TierEngine::enqueue(const Frame &frame, const opt::AliasHints &live)
     res.body.inputUops = frame.body.inputUops;
     res.body.inputLoads = frame.body.inputLoads;
 
-    ++executed_;
     inflight_.insert(frame.startPc);
     inbox_.push_back(std::move(res));
 }

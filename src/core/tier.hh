@@ -134,8 +134,6 @@ class TierEngine
     /** Undrained footprint for the governor. */
     size_t memoryBytes() const;
 
-    uint64_t executedJobs() const { return executed_; }
-
   private:
     TierConfig cfg_;
     opt::Optimizer fullOptimizer_;
@@ -148,7 +146,6 @@ class TierEngine
 
     /** Finished but unpublished results (deferred while pinned). */
     std::deque<ReoptResult> inbox_;
-    uint64_t executed_ = 0;
 
     // Re-feed scratch: the cheap body's survivors and block tags.
     std::vector<uop::Uop> uops_;

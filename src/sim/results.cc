@@ -43,7 +43,6 @@ RunStats::merge(const RunStats &other)
     allocFailures += other.allocFailures;
     stallsInjected += other.stallsInjected;
     tierEnqueues += other.tierEnqueues;
-    tierReopts += other.tierReopts;
     tierPublishes += other.tierPublishes;
     tierUopsRemoved += other.tierUopsRemoved;
     tierVerifyRejects += other.tierVerifyRejects;
@@ -163,14 +162,16 @@ RunStats::fingerprint() const
     // behind their own sentinel only when any is nonzero — so untiered
     // fingerprints stay bit-identical to the seed, and a tiered run
     // can never collide with an untiered one sharing the rest.
-    const bool tiered = tierEnqueues || tierReopts || tierPublishes ||
+    const bool tiered = tierEnqueues || tierPublishes ||
                         tierUopsRemoved || tierVerifyRejects ||
                         tierStaleDrops || tierDeferrals ||
                         tierDroppedAtExit;
     if (tiered) {
         f.mix(uint64_t(0x0000646572656974ULL)); // sentinel: "tiered"
         f.mix(tierEnqueues);
-        f.mix(tierReopts);
+        // The frozen layout's re-optimization count, which always
+        // equalled the enqueue count (every enqueue runs at once).
+        f.mix(tierEnqueues);
         f.mix(tierPublishes);
         f.mix(tierUopsRemoved);
         f.mix(tierVerifyRejects);

@@ -84,7 +84,6 @@ struct RunStats
     // behind their own fingerprint sentinel, like the governance
     // block, so untiered runs stay bit-identical to the seed).
     uint64_t tierEnqueues = 0;      ///< hot frames queued for re-opt
-    uint64_t tierReopts = 0;        ///< full re-optimizations run
     uint64_t tierPublishes = 0;     ///< re-optimized bodies published
     uint64_t tierUopsRemoved = 0;   ///< cached uops freed by re-opt
     uint64_t tierVerifyRejects = 0; ///< results the linter rejected

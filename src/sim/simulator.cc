@@ -515,8 +515,6 @@ Simulator::run(trace::TraceSource &src)
         stats_.tierDeferrals = engine_->stats().get("tier_deferrals");
         stats_.tierDroppedAtExit =
             engine_->stats().get("tier_dropped_at_exit");
-        if (engine_->tier())
-            stats_.tierReopts = engine_->tier()->executedJobs();
     }
     if (governor_) {
         stats_.govSoftTransitions =

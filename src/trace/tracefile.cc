@@ -89,6 +89,7 @@ traceErrorKindName(TraceError::Kind kind)
       case TraceError::Kind::BAD_CHUNK:       return "bad_chunk";
       case TraceError::Kind::BAD_INDEX:       return "bad_index";
       case TraceError::Kind::BAD_CODEC:       return "bad_codec";
+      case TraceError::Kind::BAD_STATIC:      return "bad_static";
     }
     return "?";
 }

@@ -48,9 +48,10 @@ struct TraceError
         FLUSH_FAILED,       ///< flush/close failed
         READ_ERROR,         ///< ferror persisted through retries
         QUARANTINED,        ///< trace previously failed persistently
-        BAD_CHUNK,          ///< v3 chunk header corrupt or stale
-        BAD_INDEX,          ///< v3 footer/index corrupt or inconsistent
-        BAD_CODEC,          ///< v3 chunk codec unknown or unavailable
+        BAD_CHUNK,          ///< v4 chunk header or payload corrupt/stale
+        BAD_INDEX,          ///< v4 footer/index corrupt or inconsistent
+        BAD_CODEC,          ///< v4 chunk codec unknown or unavailable
+        BAD_STATIC,         ///< v4 static instruction table corrupt
     };
 
     Kind kind = Kind::NONE;
@@ -61,7 +62,7 @@ struct TraceError
     // a log line straight to a hexdump offset.
     std::string path;       ///< offending trace file ("" = not file-bound)
     uint64_t byteOffset = 0; ///< file offset nearest the failure
-    int64_t chunkIndex = -1; ///< v3 chunk ordinal, -1 = not chunk-scoped
+    int64_t chunkIndex = -1; ///< v4 chunk ordinal, -1 = not chunk-scoped
 
     bool ok() const { return kind == Kind::NONE; }
 

@@ -2,24 +2,14 @@
 
 #include <algorithm>
 #include <chrono>
-#include <cstdlib>
 #include <cstring>
 #include <thread>
 
-#include "trace/chunk.hh"
 #include "util/logging.hh"
 #include "x86/executor.hh"
 
 #if defined(REPLAY_HAVE_ZLIB)
 #include <zlib.h>
-#endif
-
-#if __has_include(<sys/mman.h>)
-#define REPLAY_HAVE_MMAP 1
-#include <fcntl.h>
-#include <sys/mman.h>
-#include <sys/stat.h>
-#include <unistd.h>
 #endif
 
 namespace replay::trace {
@@ -54,64 +44,95 @@ namespace {
 
 using Kind = TraceError::Kind;
 
-/** Serialize the 40-byte v3 header; checksum covers the first 36. */
+/** Serialize the 40-byte header; checksum covers the first 36. */
 void
 encodeHeader(uint8_t *buf, uint64_t records, V3Codec codec,
              uint32_t chunk_records, uint64_t index_offset)
 {
     wire::Encoder e{buf};
-    e.u32(v3::MAGIC);
-    e.u32(v3::VERSION);
+    e.u32(v4::MAGIC);
+    e.u32(v4::VERSION);
     e.u32(uint32_t(wire::recordWireBytes()));
     e.u64(records);
     e.u32(uint32_t(codec));
     e.u32(chunk_records);
     e.u64(index_offset);
-    e.u32(wire::fnv1a32(buf, v3::HDR_OFF_CHECKSUM));
+    e.u32(wire::fnv1a32(buf, v4::HDR_OFF_CHECKSUM));
 }
 
-/** Everything the header/footer/index describe about a container. */
-struct Meta
+/**
+ * Inflate @p len stored bytes into @p out: exactly @p raw_len bytes,
+ * then COMPACT_PAD zero bytes for the compact decoder.
+ */
+bool
+inflateExact(const uint8_t *in, size_t len, size_t raw_len,
+             std::vector<uint8_t> &out)
 {
-    TraceError error;
-    uint64_t fileBytes = 0;
-    uint32_t recordBytes = 0;
-    uint64_t recordCount = 0;
-    V3Codec codec = V3Codec::RAW;
-    uint32_t chunkRecords = 0;
-    uint64_t indexOffset = 0;
-    std::vector<V3Info::Chunk> chunks;
-
-    bool ok() const { return error.ok(); }
-};
+#if defined(REPLAY_HAVE_ZLIB)
+    out.resize(raw_len + wire::COMPACT_PAD);
+    std::memset(out.data() + raw_len, 0, wire::COMPACT_PAD);
+    uLongf dst_len = uLongf(raw_len);
+    return uncompress(out.data(), &dst_len, in, uLong(len)) == Z_OK &&
+           dst_len == raw_len;
+#else
+    (void)in, (void)len, (void)raw_len, (void)out;
+    return false;
+#endif
+}
 
 /**
- * Parse and cross-check header, footer, and index through @p readAt
- * (absolute offset → buffer; false on I/O failure).  This is the one
- * structural validator: the mmap reader, the buffered reader, and the
- * inspector all agree on what a well-formed container is because they
- * all run this.
+ * Decode the raw static table.  Each entry must be the canonical
+ * encoding of a record's static part — every per-instance field zero —
+ * so re-encoding it gives back the stored bytes.  Returns the first
+ * bad entry, or @p count when all are valid.
  */
-Meta
+uint32_t
+decodeStatics(const uint8_t *raw, uint32_t count,
+              std::vector<TraceRecord> &out)
+{
+    const size_t rec_bytes = wire::recordWireBytes();
+    uint8_t buf[wire::MAX_RECORD_BYTES];
+    out.resize(count);
+    for (uint32_t i = 0; i < count; ++i) {
+        const uint8_t *entry = raw + size_t(i) * rec_bytes;
+        out[i] = wire::decodeRecord(entry);
+        wire::encodeRecord(wire::staticPart(out[i]), buf);
+        if (std::memcmp(buf, entry, rec_bytes) != 0)
+            return i;
+    }
+    return count;
+}
+
+/**
+ * Parse and cross-check header, footer, index and static table through
+ * @p readAt (absolute offset → buffer; false on I/O failure), filling
+ * @p statics.  This is the one structural validator: the reader and
+ * the inspector agree on what a well-formed container is because both
+ * run it.
+ */
+V3Info
 parseContainer(const std::string &path, uint64_t file_bytes,
                const std::function<bool(uint64_t, size_t, uint8_t *)>
-                   &readAt)
+                   &readAt,
+               std::vector<TraceRecord> &statics)
 {
-    Meta m;
+    V3Info m;
     m.fileBytes = file_bytes;
-    auto fail = [&](Kind kind, std::string msg, uint64_t offset) {
-        m.error = TraceError::at(kind, std::move(msg), path, offset);
+    auto fail = [&](Kind kind, std::string msg, uint64_t offset,
+                    int64_t chunk = -1) {
+        m.error = TraceError::at(kind, std::move(msg), path, offset,
+                                 chunk);
         return m;
     };
+    const std::string file = "trace file '" + path + "'";
 
-    if (file_bytes < v3::HEADER_BYTES)
-        return fail(Kind::SHORT_HEADER,
-                    "trace file '" + path + "' has no v3 header", 0);
+    if (file_bytes < v4::HEADER_BYTES)
+        return fail(Kind::SHORT_HEADER, file + " has no v4 header", 0);
 
-    uint8_t hdr[v3::HEADER_BYTES];
+    uint8_t hdr[v4::HEADER_BYTES];
     if (!readAt(0, sizeof(hdr), hdr))
         return fail(Kind::READ_ERROR,
-                    "cannot read v3 header of '" + path + "'", 0);
+                    "cannot read v4 header of '" + path + "'", 0);
     wire::Decoder d{hdr};
     const uint32_t magic = d.u32();
     const uint32_t version = d.u32();
@@ -122,36 +143,32 @@ parseContainer(const std::string &path, uint64_t file_bytes,
     const uint64_t index_offset = d.u64();
     const uint32_t hdr_sum = d.u32();
 
-    if (magic != v3::MAGIC)
+    if (magic != v4::MAGIC)
         return fail(Kind::BAD_MAGIC, "'" + path + "' is not a trace file",
-                    v3::HDR_OFF_MAGIC);
-    if (version != v3::VERSION)
+                    v4::HDR_OFF_MAGIC);
+    if (version != v4::VERSION)
         return fail(Kind::BAD_VERSION,
-                    "trace file '" + path + "' has version " +
-                        std::to_string(version) + ", expected 3",
-                    v3::HDR_OFF_VERSION);
-    if (hdr_sum != wire::fnv1a32(hdr, v3::HDR_OFF_CHECKSUM))
+                    file + " has version " + std::to_string(version) +
+                        ", expected 4",
+                    v4::HDR_OFF_VERSION);
+    if (hdr_sum != wire::fnv1a32(hdr, v4::HDR_OFF_CHECKSUM))
         return fail(Kind::BAD_CHECKSUM,
-                    "trace file '" + path +
-                        "' header failed its checksum",
-                    v3::HDR_OFF_CHECKSUM);
+                    file + " header failed its checksum",
+                    v4::HDR_OFF_CHECKSUM);
     if (rec_bytes != wire::recordWireBytes())
         return fail(Kind::BAD_RECORD_SIZE,
-                    "trace file '" + path + "' declares " +
-                        std::to_string(rec_bytes) +
+                    file + " declares " + std::to_string(rec_bytes) +
                         "-byte records, expected " +
                         std::to_string(wire::recordWireBytes()),
-                    v3::HDR_OFF_RECORD_BYTES);
+                    v4::HDR_OFF_RECORD_BYTES);
     if (codec > uint32_t(V3Codec::ZLIB))
         return fail(Kind::BAD_CODEC,
-                    "trace file '" + path + "' uses unknown codec " +
-                        std::to_string(codec),
-                    v3::HDR_OFF_CODEC);
+                    file + " uses unknown codec " + std::to_string(codec),
+                    v4::HDR_OFF_CODEC);
     if (codec == uint32_t(V3Codec::ZLIB) && !v3ZlibAvailable())
         return fail(Kind::BAD_CODEC,
-                    "trace file '" + path +
-                        "' is zlib-compressed but this build has no zlib",
-                    v3::HDR_OFF_CODEC);
+                    file + " is zlib-compressed but this build has no zlib",
+                    v4::HDR_OFF_CODEC);
 
     m.recordBytes = rec_bytes;
     m.recordCount = records;
@@ -163,103 +180,157 @@ parseContainer(const std::string &path, uint64_t file_bytes,
     // mid-write — the chunks may be fine, but without a trustworthy
     // index the container is TRUNCATED, same as a v2 file that ends
     // inside a record.
-    if (file_bytes < v3::HEADER_BYTES + v3::FOOTER_BYTES)
-        return fail(Kind::TRUNCATED,
-                    "trace file '" + path + "' ends before its footer",
+    if (file_bytes < v4::HEADER_BYTES + v4::FOOTER_BYTES)
+        return fail(Kind::TRUNCATED, file + " ends before its footer",
                     file_bytes);
-    const uint64_t footer_off = file_bytes - v3::FOOTER_BYTES;
-    uint8_t ftr[v3::FOOTER_BYTES];
+    const uint64_t footer_off = file_bytes - v4::FOOTER_BYTES;
+    uint8_t ftr[v4::FOOTER_BYTES];
     if (!readAt(footer_off, sizeof(ftr), ftr))
         return fail(Kind::READ_ERROR,
-                    "cannot read v3 footer of '" + path + "'",
+                    "cannot read v4 footer of '" + path + "'",
                     footer_off);
     wire::Decoder fd{ftr};
     const uint64_t ftr_index_offset = fd.u64();
     const uint32_t chunk_count = fd.u32();
     const uint32_t index_sum = fd.u32();
+    const uint32_t static_count = fd.u32();
+    const uint32_t static_bytes = fd.u32();
+    const uint32_t static_sum = fd.u32();
     fd.u32(); // reserved
     const uint32_t ftr_magic = fd.u32();
 
-    if (ftr_magic != v3::FOOTER_MAGIC)
+    if (ftr_magic != v4::FOOTER_MAGIC)
         return fail(Kind::TRUNCATED,
-                    "trace file '" + path +
-                        "' has no footer magic (cut off mid-write?)",
+                    file + " has no footer magic (cut off mid-write?)",
                     file_bytes - 4);
     if (ftr_index_offset != index_offset)
         return fail(Kind::BAD_INDEX,
-                    "trace file '" + path +
-                        "' header and footer disagree on the index "
-                        "offset (stale index?)",
+                    file + " header and footer disagree on the index "
+                           "offset (stale index?)",
                     footer_off);
     const uint64_t index_bytes =
-        uint64_t(chunk_count) * v3::INDEX_ENTRY_BYTES;
-    if (index_offset < v3::HEADER_BYTES ||
-        index_offset + index_bytes + v3::FOOTER_BYTES != file_bytes)
+        uint64_t(chunk_count) * v4::INDEX_ENTRY_BYTES;
+    if (index_offset < v4::HEADER_BYTES + uint64_t(static_bytes) ||
+        index_offset + index_bytes + v4::FOOTER_BYTES != file_bytes)
         return fail(Kind::BAD_INDEX,
-                    "trace file '" + path +
-                        "' index does not tile the file (offset " +
+                    file + " index does not tile the file (offset " +
                         std::to_string(index_offset) + ", " +
                         std::to_string(chunk_count) + " chunks, " +
+                        std::to_string(static_bytes) +
+                        " static-table bytes, " +
                         std::to_string(file_bytes) + " bytes)",
                     footer_off);
 
-    std::vector<uint8_t> index;
-    index.resize(size_t(index_bytes));
-    if (index_bytes &&
-        !readAt(index_offset, index.size(), index.data()))
+    std::vector<uint8_t> buf(static_cast<size_t>(index_bytes));
+    if (index_bytes && !readAt(index_offset, buf.size(), buf.data()))
         return fail(Kind::READ_ERROR,
-                    "cannot read v3 index of '" + path + "'",
+                    "cannot read v4 index of '" + path + "'",
                     index_offset);
-    if (wire::fnv1a32(index.data(), index.size()) != index_sum)
-        return fail(Kind::BAD_INDEX,
-                    "trace file '" + path +
-                        "' index failed its checksum",
+    if (wire::fnv1a32(buf.data(), buf.size()) != index_sum)
+        return fail(Kind::BAD_INDEX, file + " index failed its checksum",
                     index_offset);
 
-    // Structural walk: chunks must tile [header, index) in order and
-    // the record ranges must tile [0, recordCount) exactly.  A stale
-    // index (record count no longer matching) or a duplicated/spliced
-    // chunk shows up here before any payload is touched.
+    // Structural walk: chunks must tile [header, static table) in
+    // order and the record ranges must tile [0, recordCount) exactly.
+    // A stale index (record count no longer matching) or a
+    // duplicated/spliced chunk shows up here before any payload is
+    // touched; the size bounds keep a forged entry from sizing a
+    // buffer.
+    const uint64_t static_off = index_offset - static_bytes;
+    m.staticOffset = static_off;
+    m.staticCount = static_count;
+    m.staticBytes = static_bytes;
     m.chunks.reserve(chunk_count);
-    uint64_t next_offset = v3::HEADER_BYTES;
+    uint64_t next_offset = v4::HEADER_BYTES;
     uint64_t next_record = 0;
     for (uint32_t i = 0; i < chunk_count; ++i) {
-        wire::Decoder ed{index.data() +
-                         size_t(i) * v3::INDEX_ENTRY_BYTES};
-        V3Info::Chunk c;
+        wire::Decoder ed{buf.data() + size_t(i) * v4::INDEX_ENTRY_BYTES};
+        v4::IndexEntry c;
         c.offset = ed.u64();
         c.firstRecord = ed.u64();
         c.payloadBytes = ed.u32();
+        c.rawBytes = ed.u32();
         c.records = ed.u32();
         c.checksum = ed.u32();
+        const bool sized =
+            c.records != 0 && c.records <= chunk_records &&
+            c.rawBytes <= uint64_t(c.records) * wire::MAX_COMPACT_BYTES &&
+            (m.codec != V3Codec::RAW || c.rawBytes == c.payloadBytes);
         if (c.offset != next_offset || c.firstRecord != next_record ||
-            c.records == 0) {
-            m.error = TraceError::at(
-                Kind::BAD_INDEX,
-                "trace file '" + path + "' index entry " +
-                    std::to_string(i) +
-                    " does not tile the container (offset " +
-                    std::to_string(c.offset) + ", first record " +
-                    std::to_string(c.firstRecord) + ")",
-                path,
-                index_offset + uint64_t(i) * v3::INDEX_ENTRY_BYTES,
-                int64_t(i));
-            return m;
-        }
-        next_offset = c.offset + v3::CHUNK_HEADER_BYTES + c.payloadBytes;
+            !sized)
+            return fail(Kind::BAD_INDEX,
+                        file + " index entry " + std::to_string(i) +
+                            " does not tile the container (offset " +
+                            std::to_string(c.offset) +
+                            ", first record " +
+                            std::to_string(c.firstRecord) + ")",
+                        index_offset +
+                            uint64_t(i) * v4::INDEX_ENTRY_BYTES,
+                        int64_t(i));
+        next_offset = c.offset + v4::CHUNK_HEADER_BYTES + c.payloadBytes;
         next_record = c.firstRecord + c.records;
         m.chunks.push_back(c);
     }
-    if (next_offset != index_offset || next_record != records) {
-        m.error = TraceError::at(
-            Kind::BAD_INDEX,
-            "trace file '" + path + "' index covers " +
-                std::to_string(next_record) + " records, header claims " +
-                std::to_string(records) + " (stale index?)",
-            path, index_offset);
-        return m;
+    if (next_offset != static_off || next_record != records)
+        return fail(Kind::BAD_INDEX,
+                    file + " index covers " +
+                        std::to_string(next_record) +
+                        " records, header claims " +
+                        std::to_string(records) + " (stale index?)",
+                    index_offset);
+
+    // Static table: every entry is referenced by some record, so a
+    // count above the record count is damage, not a big table.
+    const size_t table_raw = size_t(static_count) * rec_bytes;
+    if (static_count > records ||
+        (m.codec == V3Codec::RAW && static_bytes != table_raw))
+        return fail(Kind::BAD_STATIC,
+                    file + " static table of " +
+                        std::to_string(static_count) +
+                        " entries does not fit its " +
+                        std::to_string(static_bytes) + " bytes",
+                    static_off);
+    buf.resize(static_bytes + wire::COMPACT_PAD);
+    if (static_bytes && !readAt(static_off, static_bytes, buf.data()))
+        return fail(Kind::READ_ERROR,
+                    "cannot read v4 static table of '" + path + "'",
+                    static_off);
+    if (wire::chunkChecksum(buf.data(), static_bytes) != static_sum)
+        return fail(Kind::BAD_STATIC,
+                    file + " static table failed its checksum",
+                    static_off);
+    const uint8_t *table = buf.data();
+    std::vector<uint8_t> inflated;
+    if (m.codec == V3Codec::ZLIB && static_count) {
+        if (!inflateExact(buf.data(), static_bytes, table_raw, inflated))
+            return fail(Kind::BAD_STATIC,
+                        file + " static table does not inflate to " +
+                            std::to_string(table_raw) + " bytes",
+                        static_off);
+        table = inflated.data();
     }
+    const uint32_t bad = decodeStatics(table, static_count, statics);
+    if (bad != static_count)
+        return fail(Kind::BAD_STATIC,
+                    file + " static table entry " + std::to_string(bad) +
+                        " is not a static instruction",
+                    static_off);
     return m;
+}
+
+/** Buffered positioned read (the reader's and inspector's readAt). */
+bool
+readFileAt(std::FILE *file, uint64_t offset, size_t len, uint8_t *dst)
+{
+    return std::fseek(file, long(offset), SEEK_SET) == 0 &&
+           std::fread(dst, 1, len, file) == len;
+}
+
+/** Size of an open file, or -1. */
+long
+fileSize(std::FILE *file)
+{
+    return std::fseek(file, 0, SEEK_END) == 0 ? std::ftell(file) : -1;
 }
 
 } // anonymous namespace
@@ -292,15 +363,14 @@ TraceV3Writer::TraceV3Writer(const std::string &path, V3Options opts)
              "cannot open trace file '" + path + "' for writing");
         return;
     }
-    uint8_t hdr[v3::HEADER_BYTES];
+    uint8_t hdr[v4::HEADER_BYTES];
     encodeHeader(hdr, 0, opts_.codec, opts_.chunkRecords, 0);
     if (std::fwrite(hdr, sizeof(hdr), 1, file_) != 1) {
         fail(TraceError::Kind::WRITE_FAILED,
-             "cannot write v3 header to '" + path + "'");
+             "cannot write v4 header to '" + path + "'");
         return;
     }
-    fileOffset_ = v3::HEADER_BYTES;
-    raw_.reserve(size_t(opts_.chunkRecords) * wire::recordWireBytes());
+    fileOffset_ = v4::HEADER_BYTES;
 }
 
 TraceV3Writer::~TraceV3Writer()
@@ -309,18 +379,75 @@ TraceV3Writer::~TraceV3Writer()
         close();
 }
 
+uint32_t
+TraceV3Writer::intern(const TraceRecord &rec)
+{
+    const size_t rec_bytes = wire::recordWireBytes();
+    uint8_t key[wire::MAX_RECORD_BYTES];
+    wire::encodeRecord(wire::staticPart(rec), key);
+    uint32_t *link =
+        &firstByPc_.try_emplace(rec.pc, wire::NO_STATIC).first->second;
+    for (; *link != wire::NO_STATIC; link = &nextSamePc_[*link])
+        if (std::memcmp(statics_.data() + size_t(*link) * rec_bytes, key,
+                        rec_bytes) == 0)
+            return *link;
+    const uint32_t idx = uint32_t(nextSamePc_.size());
+    *link = idx;
+    nextSamePc_.push_back(wire::NO_STATIC);
+    statics_.insert(statics_.end(), key, key + rec_bytes);
+    return idx;
+}
+
 void
 TraceV3Writer::write(const TraceRecord &rec)
 {
     if (!file_)
         return;
-    const size_t rec_bytes = wire::recordWireBytes();
-    raw_.resize(raw_.size() + rec_bytes);
-    wire::encodeRecord(rec, raw_.data() + raw_.size() - rec_bytes);
+    if (pendingRecords_ == 0) {
+        delta_.startChunk(nextSamePc_.size());
+        followOn_ = false;
+    }
+    const uint32_t idx =
+        wire::compactable(rec) ? intern(rec) : wire::NO_STATIC;
+    // The entry the previous record implies: the lowest-numbered one
+    // at its nextPc — what the reader's StaticTable links resolve to.
+    uint32_t implied = wire::NO_STATIC;
+    if (followOn_) {
+        const auto it = firstByPc_.find(prevNextPc_);
+        if (it != firstByPc_.end())
+            implied = it->second;
+    }
+    const size_t at = raw_.size();
+    raw_.resize(at + wire::MAX_COMPACT_BYTES);
+    raw_.resize(at + wire::encodeCompact(rec, idx, implied, delta_,
+                                         raw_.data() + at));
+    followOn_ =
+        idx != wire::NO_STATIC && rec.nextPc == wire::impliedNextPc(rec);
+    prevNextPc_ = rec.nextPc;
     ++pendingRecords_;
     ++count_;
     if (pendingRecords_ >= opts_.chunkRecords)
         flushChunk();
+}
+
+bool
+TraceV3Writer::store(const std::vector<uint8_t> &raw,
+                     const uint8_t *&payload, uint32_t &payload_bytes)
+{
+    payload = raw.data();
+    payload_bytes = uint32_t(raw.size());
+#if defined(REPLAY_HAVE_ZLIB)
+    if (opts_.codec == V3Codec::ZLIB) {
+        uLongf dst_len = compressBound(uLong(raw.size()));
+        zbuf_.resize(dst_len);
+        if (compress2(zbuf_.data(), &dst_len, raw.data(),
+                      uLong(raw.size()), Z_DEFAULT_COMPRESSION) != Z_OK)
+            return false;
+        payload = zbuf_.data();
+        payload_bytes = uint32_t(dst_len);
+    }
+#endif
+    return true;
 }
 
 bool
@@ -329,36 +456,28 @@ TraceV3Writer::flushChunk()
     if (!file_ || pendingRecords_ == 0)
         return file_ != nullptr;
 
-    const uint8_t *payload = raw_.data();
-    uint32_t payload_bytes = uint32_t(raw_.size());
-#if defined(REPLAY_HAVE_ZLIB)
-    if (opts_.codec == V3Codec::ZLIB) {
-        uLongf dst_len = compressBound(uLong(raw_.size()));
-        zbuf_.resize(dst_len);
-        if (compress2(zbuf_.data(), &dst_len, raw_.data(),
-                      uLong(raw_.size()), Z_DEFAULT_COMPRESSION) != Z_OK) {
-            fail(TraceError::Kind::WRITE_FAILED,
-                 "zlib compression failed for chunk " +
-                     std::to_string(index_.size()));
-            return false;
-        }
-        payload = zbuf_.data();
-        payload_bytes = uint32_t(dst_len);
+    const uint8_t *payload = nullptr;
+    uint32_t payload_bytes = 0;
+    if (!store(raw_, payload, payload_bytes)) {
+        fail(TraceError::Kind::WRITE_FAILED,
+             "zlib compression failed for chunk " +
+                 std::to_string(index_.size()));
+        return false;
     }
-#endif
 
-    PendingEntry entry;
+    v4::IndexEntry entry;
     entry.offset = fileOffset_;
     entry.firstRecord = count_ - pendingRecords_;
     entry.payloadBytes = payload_bytes;
+    entry.rawBytes = uint32_t(raw_.size());
     entry.records = pendingRecords_;
     entry.checksum = wire::chunkChecksum(payload, payload_bytes);
 
-    uint8_t hdr[v3::CHUNK_HEADER_BYTES];
+    uint8_t hdr[v4::CHUNK_HEADER_BYTES];
     wire::Encoder e{hdr};
-    e.u32(v3::CHUNK_MAGIC);
-    e.u32(payload_bytes);
-    e.u32(uint32_t(raw_.size()));
+    e.u32(v4::CHUNK_MAGIC);
+    e.u32(entry.payloadBytes);
+    e.u32(entry.rawBytes);
     e.u32(entry.records);
     e.u64(entry.firstRecord);
     e.u32(entry.checksum);
@@ -369,7 +488,7 @@ TraceV3Writer::flushChunk()
              "short write of chunk " + std::to_string(index_.size()));
         return false;
     }
-    fileOffset_ += v3::CHUNK_HEADER_BYTES + payload_bytes;
+    fileOffset_ += v4::CHUNK_HEADER_BYTES + payload_bytes;
     index_.push_back(entry);
     raw_.clear();
     pendingRecords_ = 0;
@@ -384,39 +503,60 @@ TraceV3Writer::close()
     if (!flushChunk())
         return error_;
 
+    // Static table, through the same codec as the chunks.
+    const uint32_t static_count = uint32_t(nextSamePc_.size());
+    const uint8_t *table = nullptr;
+    uint32_t table_bytes = 0;
+    if (static_count && !store(statics_, table, table_bytes)) {
+        fail(TraceError::Kind::WRITE_FAILED,
+             "zlib compression failed for the static table");
+        return error_;
+    }
+    if (table_bytes && std::fwrite(table, table_bytes, 1, file_) != 1) {
+        fail(TraceError::Kind::WRITE_FAILED,
+             "cannot write v4 static table");
+        return error_;
+    }
+    const uint32_t table_sum = wire::chunkChecksum(table, table_bytes);
+    fileOffset_ += table_bytes;
+
     const uint64_t index_offset = fileOffset_;
-    std::vector<uint8_t> index(index_.size() * v3::INDEX_ENTRY_BYTES);
+    std::vector<uint8_t> index(index_.size() * v4::INDEX_ENTRY_BYTES);
     for (size_t i = 0; i < index_.size(); ++i) {
-        wire::Encoder e{index.data() + i * v3::INDEX_ENTRY_BYTES};
+        wire::Encoder e{index.data() + i * v4::INDEX_ENTRY_BYTES};
         e.u64(index_[i].offset);
         e.u64(index_[i].firstRecord);
         e.u32(index_[i].payloadBytes);
+        e.u32(index_[i].rawBytes);
         e.u32(index_[i].records);
         e.u32(index_[i].checksum);
     }
-    uint8_t ftr[v3::FOOTER_BYTES];
+    uint8_t ftr[v4::FOOTER_BYTES];
     wire::Encoder fe{ftr};
     fe.u64(index_offset);
     fe.u32(uint32_t(index_.size()));
     fe.u32(wire::fnv1a32(index.data(), index.size()));
+    fe.u32(static_count);
+    fe.u32(table_bytes);
+    fe.u32(table_sum);
     fe.u32(0);
-    fe.u32(v3::FOOTER_MAGIC);
+    fe.u32(v4::FOOTER_MAGIC);
 
     if ((!index.empty() &&
          std::fwrite(index.data(), index.size(), 1, file_) != 1) ||
         std::fwrite(ftr, sizeof(ftr), 1, file_) != 1) {
         fail(TraceError::Kind::WRITE_FAILED,
-             "cannot write v3 index/footer");
+             "cannot write v4 index/footer");
         return error_;
     }
 
-    uint8_t hdr[v3::HEADER_BYTES];
+    uint8_t hdr[v4::HEADER_BYTES];
     encodeHeader(hdr, count_, opts_.codec, opts_.chunkRecords,
                  index_offset);
     if (std::fseek(file_, 0, SEEK_SET) != 0 ||
         std::fwrite(hdr, sizeof(hdr), 1, file_) != 1) {
         fail(TraceError::Kind::WRITE_FAILED,
-             "cannot finalize v3 header");
+             "cannot finalize v4 header");
         return error_;
     }
     if (std::fflush(file_) != 0) {
@@ -440,7 +580,7 @@ TraceV3Writer::dumpProgram(const x86::Program &program, uint64_t insts,
     for (uint64_t i = 0; i < insts; ++i)
         writer.write(TraceRecord::fromStep(exec.step()));
     const TraceError err = writer.close();
-    fatal_if(!err.ok(), "dumping v3 trace to '%s': %s", path.c_str(),
+    fatal_if(!err.ok(), "dumping v4 trace to '%s': %s", path.c_str(),
              err.describe().c_str());
     return insts;
 }
@@ -468,16 +608,6 @@ TraceV3Source::fail(TraceError::Kind kind, std::string msg,
         std::fclose(file_);
         file_ = nullptr;
     }
-#if defined(REPLAY_HAVE_MMAP)
-    if (map_) {
-        // Keep the mapping alive: decoded records copied out already,
-        // but locate() may still return pointers into window_, never
-        // into the map, so unmapping now is safe.
-        munmap(const_cast<uint8_t *>(map_), mapLen_);
-        map_ = nullptr;
-        mapLen_ = 0;
-    }
-#endif
 }
 
 TraceV3Source::TraceV3Source(const std::string &path, Options opts)
@@ -501,10 +631,6 @@ TraceV3Source::~TraceV3Source()
 {
     if (file_)
         std::fclose(file_);
-#if defined(REPLAY_HAVE_MMAP)
-    if (map_)
-        munmap(const_cast<uint8_t *>(map_), mapLen_);
-#endif
 }
 
 bool
@@ -516,66 +642,26 @@ TraceV3Source::openAndValidate(const std::string &path)
              "cannot open trace file '" + path + "'", 0);
         return false;
     }
-    if (std::fseek(file_, 0, SEEK_END) != 0) {
-        fail(TraceError::Kind::READ_ERROR,
-             "cannot size trace file '" + path + "'", 0);
-        return false;
-    }
-    const long end = std::ftell(file_);
+    const long end = fileSize(file_);
     if (end < 0) {
         fail(TraceError::Kind::READ_ERROR,
              "cannot size trace file '" + path + "'", 0);
         return false;
     }
-    const uint64_t file_bytes = uint64_t(end);
-
-#if defined(REPLAY_HAVE_MMAP)
-    const bool no_mmap_env =
-        std::getenv("REPLAY_TRACEV3_NO_MMAP") != nullptr;
-    if (opts_.preferMmap && !no_mmap_env &&
-        file_bytes >= v3::HEADER_BYTES) {
-        const int fd = ::open(path.c_str(), O_RDONLY);
-        if (fd >= 0) {
-            void *addr = mmap(nullptr, size_t(file_bytes), PROT_READ,
-                              MAP_PRIVATE, fd, 0);
-            ::close(fd);
-            if (addr != MAP_FAILED) {
-                map_ = static_cast<const uint8_t *>(addr);
-                mapLen_ = size_t(file_bytes);
-                // The mapping replaces the stream entirely.
-                std::fclose(file_);
-                file_ = nullptr;
-            }
-        }
-    }
-#endif
-
-    auto readAt = [this](uint64_t offset, size_t len,
-                         uint8_t *dst) -> bool {
-        if (map_) {
-            if (offset + len > mapLen_)
-                return false;
-            std::memcpy(dst, map_ + offset, len);
-            return true;
-        }
-        return std::fseek(file_, long(offset), SEEK_SET) == 0 &&
-               std::fread(dst, 1, len, file_) == len;
+    auto readAt = [this](uint64_t offset, size_t len, uint8_t *dst) {
+        return readFileAt(file_, offset, len, dst);
     };
-
-    Meta m = parseContainer(path, file_bytes, readAt);
+    V3Info m =
+        parseContainer(path, uint64_t(end), readAt, statics_.entries);
     if (!m.ok()) {
         const TraceError err = m.error;
         fail(err.kind, err.message, err.byteOffset, err.chunkIndex);
         return false;
     }
+    statics_.link();
     total_ = m.recordCount;
-    recordBytes_ = m.recordBytes;
     codec_ = m.codec;
-    index_.reserve(m.chunks.size());
-    for (const V3Info::Chunk &c : m.chunks)
-        index_.push_back(IndexEntry{c.offset, c.firstRecord,
-                                    c.payloadBytes, c.records,
-                                    c.checksum});
+    index_ = std::move(m.chunks);
     return true;
 }
 
@@ -586,28 +672,17 @@ TraceV3Source::loadBytes(uint64_t offset, size_t len, size_t chunk)
     for (;;) {
         // The injected fault behaves exactly like a read that came
         // back short with the stream in error: retry with backoff,
-        // then quarantine.  It drives the identical path on both the
-        // mmap and buffered modes.
+        // then quarantine.
         const bool injected = ioInject_ && ioInject_();
         if (!injected) {
-            if (map_) {
-                if (offset + len > mapLen_) {
-                    fail(TraceError::Kind::TRUNCATED,
-                         "trace file '" + path_ +
-                             "' ends inside chunk " +
-                             std::to_string(chunk),
-                         offset, int64_t(chunk));
-                    return nullptr;
-                }
-                return map_ + offset;
-            }
             if (!file_)
                 return nullptr;
-            ioBuf_.resize(len);
-            if (std::fseek(file_, long(offset), SEEK_SET) == 0 &&
-                std::fread(ioBuf_.data(), 1, len, file_) == len)
+            ioBuf_.resize(len + wire::COMPACT_PAD);
+            if (readFileAt(file_, offset, len, ioBuf_.data())) {
+                std::memset(ioBuf_.data() + len, 0, wire::COMPACT_PAD);
                 return ioBuf_.data();
-            if (file_ && std::feof(file_) && !std::ferror(file_)) {
+            }
+            if (std::feof(file_) && !std::ferror(file_)) {
                 fail(TraceError::Kind::TRUNCATED,
                      "trace file '" + path_ + "' ends inside chunk " +
                          std::to_string(chunk),
@@ -640,10 +715,13 @@ TraceV3Source::loadNextChunk()
     if (nextChunk_ >= index_.size())
         return false;
     const size_t ci = nextChunk_;
-    const IndexEntry entry = index_[ci];
+    const v4::IndexEntry entry = index_[ci];
+    const std::string where =
+        "trace file '" + path_ + "' chunk " + std::to_string(ci);
 
-    const uint8_t *hdr =
-        loadBytes(entry.offset, v3::CHUNK_HEADER_BYTES, ci);
+    // Header and payload in one read; the index already sized both.
+    const uint8_t *hdr = loadBytes(
+        entry.offset, v4::CHUNK_HEADER_BYTES + entry.payloadBytes, ci);
     if (!hdr)
         return false;
     wire::Decoder d{hdr};
@@ -654,64 +732,44 @@ TraceV3Source::loadNextChunk()
     const uint64_t first_record = d.u64();
     const uint32_t sum = d.u32();
 
-    if (magic != v3::CHUNK_MAGIC) {
-        fail(TraceError::Kind::BAD_CHUNK,
-             "trace file '" + path_ + "' chunk " + std::to_string(ci) +
-                 " has no chunk magic",
+    if (magic != v4::CHUNK_MAGIC) {
+        fail(TraceError::Kind::BAD_CHUNK, where + " has no chunk magic",
              entry.offset, int64_t(ci));
         return false;
     }
     // The chunk header must agree with the (already FNV-verified)
     // index entry.  A duplicated or spliced chunk carries the wrong
-    // firstRecord; a stale one the wrong record count or checksum.
+    // firstRecord; a stale one the wrong sizes or checksum.
     if (payload_bytes != entry.payloadBytes ||
-        records != entry.records ||
-        first_record != entry.firstRecord || sum != entry.checksum ||
-        uint64_t(raw_bytes) != uint64_t(records) * recordBytes_) {
+        raw_bytes != entry.rawBytes || records != entry.records ||
+        first_record != entry.firstRecord || sum != entry.checksum) {
         fail(TraceError::Kind::BAD_CHUNK,
-             "trace file '" + path_ + "' chunk " + std::to_string(ci) +
-                 " disagrees with the index (duplicated or stale "
-                 "chunk?)",
+             where + " disagrees with the index (duplicated or stale "
+                     "chunk?)",
              entry.offset, int64_t(ci));
         return false;
     }
 
-    const uint8_t *payload =
-        loadBytes(entry.offset + v3::CHUNK_HEADER_BYTES, payload_bytes,
-                  ci);
-    if (!payload)
-        return false;
+    const uint8_t *payload = hdr + v4::CHUNK_HEADER_BYTES;
+    const uint64_t payload_off = entry.offset + v4::CHUNK_HEADER_BYTES;
     if (wire::chunkChecksum(payload, payload_bytes) != sum) {
         fail(TraceError::Kind::BAD_CHECKSUM,
-             "trace file '" + path_ + "' chunk " + std::to_string(ci) +
-                 " payload failed its checksum",
-             entry.offset + v3::CHUNK_HEADER_BYTES, int64_t(ci));
+             where + " payload failed its checksum", payload_off,
+             int64_t(ci));
         return false;
     }
 
+    // A RAW payload is decoded in place: loadBytes padded it.
     const uint8_t *raw = payload;
     if (codec_ == V3Codec::ZLIB) {
-#if defined(REPLAY_HAVE_ZLIB)
-        rawBuf_.resize(raw_bytes);
-        uLongf dst_len = raw_bytes;
-        if (uncompress(rawBuf_.data(), &dst_len, payload,
-                       payload_bytes) != Z_OK ||
-            dst_len != raw_bytes) {
+        if (!inflateExact(payload, payload_bytes, raw_bytes, rawBuf_)) {
             fail(TraceError::Kind::BAD_CHUNK,
-                 "trace file '" + path_ + "' chunk " +
-                     std::to_string(ci) + " does not inflate to " +
+                 where + " does not inflate to " +
                      std::to_string(raw_bytes) + " bytes",
                  entry.offset, int64_t(ci));
             return false;
         }
         raw = rawBuf_.data();
-#else
-        fail(TraceError::Kind::BAD_CODEC,
-             "trace file '" + path_ +
-                 "' is zlib-compressed but this build has no zlib",
-             entry.offset, int64_t(ci));
-        return false;
-#endif
     }
 
     DecodedChunk dc;
@@ -721,8 +779,16 @@ TraceV3Source::loadNextChunk()
         pool_.pop_back();
     }
     dc.recs.resize(records);
-    for (uint32_t i = 0; i < records; ++i)
-        dc.recs[i] = wire::decodeRecord(raw + size_t(i) * recordBytes_);
+    uint32_t bad = 0;
+    if (const char *why =
+            wire::decodeCompactChunk(raw, raw_bytes, records, statics_,
+                                     delta_, dc.recs.data(), bad)) {
+        pool_.push_back(std::move(dc.recs));
+        fail(TraceError::Kind::BAD_CHUNK,
+             where + " record " + std::to_string(bad) + ": " + why,
+             payload_off, int64_t(ci));
+        return false;
+    }
     window_.push_back(std::move(dc));
     nextChunk_ = ci + 1;
     return true;
@@ -766,7 +832,7 @@ void
 TraceV3Source::advance()
 {
     panic_if(locate(consumed_) == nullptr,
-             "advance past end of v3 trace");
+             "advance past end of v4 trace");
     ++consumed_;
     recycleFront();
 }
@@ -816,40 +882,35 @@ V3Info::payloadBytes() const
     return sum;
 }
 
+uint64_t
+V3Info::rawBytes() const
+{
+    uint64_t sum = 0;
+    for (const Chunk &c : chunks)
+        sum += c.rawBytes;
+    return sum;
+}
+
 V3Info
 inspectV3(const std::string &path)
 {
-    V3Info info;
     std::FILE *file = std::fopen(path.c_str(), "rb");
     if (!file) {
+        V3Info info;
         info.error = TraceError::at(TraceError::Kind::OPEN_FAILED,
                                     "cannot open trace file '" + path +
                                         "'",
                                     path, 0);
         return info;
     }
-    uint64_t file_bytes = 0;
-    if (std::fseek(file, 0, SEEK_END) == 0) {
-        const long end = std::ftell(file);
-        if (end > 0)
-            file_bytes = uint64_t(end);
-    }
-    auto readAt = [file](uint64_t offset, size_t len,
-                         uint8_t *dst) -> bool {
-        return std::fseek(file, long(offset), SEEK_SET) == 0 &&
-               std::fread(dst, 1, len, file) == len;
+    const long end = fileSize(file);
+    auto readAt = [file](uint64_t offset, size_t len, uint8_t *dst) {
+        return readFileAt(file, offset, len, dst);
     };
-    Meta m = parseContainer(path, file_bytes, readAt);
+    std::vector<TraceRecord> statics;
+    V3Info info = parseContainer(path, end > 0 ? uint64_t(end) : 0,
+                                 readAt, statics);
     std::fclose(file);
-
-    info.error = m.error;
-    info.fileBytes = m.fileBytes;
-    info.recordBytes = m.recordBytes;
-    info.recordCount = m.recordCount;
-    info.codec = m.codec;
-    info.chunkRecords = m.chunkRecords;
-    info.indexOffset = m.indexOffset;
-    info.chunks = std::move(m.chunks);
     return info;
 }
 
@@ -871,7 +932,7 @@ openTraceFile(const std::string &path, TraceError *err, uint64_t limit)
                 sniff_err = TraceError::at(
                     TraceError::Kind::SHORT_HEADER,
                     "trace file '" + path + "' has no header", path, 0);
-            } else if (wire::load32(buf) != v3::MAGIC) {
+            } else if (wire::load32(buf) != v4::MAGIC) {
                 sniff_err =
                     TraceError::at(TraceError::Kind::BAD_MAGIC,
                                    "'" + path + "' is not a trace file",
@@ -894,7 +955,7 @@ openTraceFile(const std::string &path, TraceError *err, uint64_t limit)
         if (err)
             *err = v2->error();
         src = std::move(v2);
-    } else if (version == v3::VERSION) {
+    } else if (version == v4::VERSION) {
         TraceV3Source::Options opts;
         opts.limitRecords = limit;
         auto v3src = std::make_unique<TraceV3Source>(path, opts);
@@ -907,7 +968,7 @@ openTraceFile(const std::string &path, TraceError *err, uint64_t limit)
                 TraceError::Kind::BAD_VERSION,
                 "trace file '" + path + "' has unsupported version " +
                     std::to_string(version),
-                path, v3::HDR_OFF_VERSION);
+                path, v4::HDR_OFF_VERSION);
     }
     return src;
 }

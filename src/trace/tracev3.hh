@@ -1,40 +1,50 @@
 /**
  * @file
- * Trace container format v3: chunked, block-compressed, seekable.
+ * The chunked trace container, format version 4.
  *
- * The v2 container is a flat record stream read front to back with
- * batched fread — fine for one-shot replays, a bottleneck for the
- * sharded multi-session server the ROADMAP names: no random access, no
- * resume, one checksum multiply per payload byte.  v3 restructures the
- * container around *chunks*:
+ * The paper's simulator read hardware trace files: raw instruction
+ * data plus register and memory side-band data (§5.1.1).  This
+ * container stores the same information split the way the data is
+ * split: the decoded instruction is a pure function of (program, PC),
+ * so each trace's distinct static instructions are recorded once, in a
+ * static table, and each dynamic record carries only what varies per
+ * instance.
  *
  *   HEADER   magic/version/record-size guard, record count, codec,
  *            chunk size, index offset, header checksum
  *   CHUNK*   [chunk header: magic, payload bytes, raw bytes, records,
  *             first record, checksum][payload]
+ *   STATIC   the static table: one canonical wire record per distinct
+ *            static instruction (pc, length, Inst, side-effect shape;
+ *            every per-instance field zero), through the codec
  *   INDEX    one entry per chunk {offset, first record, payload bytes,
- *             records, checksum}, FNV-guarded
- *   FOOTER   index offset, chunk count, index checksum, magic
+ *             raw bytes, records, checksum}, FNV-guarded
+ *   FOOTER   index offset, chunk count, index checksum, static count,
+ *            static bytes, static checksum, reserved, magic
  *
- * Each chunk's payload is the canonical wire encoding of its records
- * (see trace/chunk.hh), either stored raw or zlib-compressed; its
- * checksum is a word-at-a-time FNV over the *stored* bytes, so
- * integrity is verified before any decompression touches the data.
- * The index footer makes the container seekable: seekToRecord() binary
- * searches the index and resumes mid-stream, which is what lets a
- * server session fast-forward to its checkpoint instead of re-reading
- * the prefix.
+ * A chunk's raw payload is a run of variable-length compact records
+ * (trace/chunk.hh): a flag byte, the static-table index unless the
+ * previous record implies it, and the per-instance fields — register
+ * values and memory addresses zigzag-delta-coded, data as varints.
+ * Any record the compact form cannot carry is stored verbatim, so
+ * every record reads back bit-identical.  Delta state resets at every
+ * chunk, so seekToRecord() binary searches the index and decodes from
+ * the owning chunk's start without touching the prefix.  Payloads are
+ * stored raw or zlib-compressed, and every checksum covers the
+ * *stored* bytes, so integrity is verified before any decompression
+ * touches the data.  The header, index and static table are read and
+ * validated once at open.
  *
- * Reads go through an mmap zero-copy path by default (the chunk
- * payload is checksummed and decoded directly out of the mapping, no
- * fread, no staging copy), falling back to buffered FILE* reads when
- * mmap is unavailable or refused.  Error semantics mirror v2 exactly:
- * a damaged file yields its valid prefix and a typed TraceError
- * (TRUNCATED / BAD_CHECKSUM / READ_ERROR / ...) carrying the byte
- * offset, chunk index, and path of the failure; transient read faults
- * retry with backoff and persistently bad paths are quarantined
- * process-wide, and the same fault-injector hook exercises both
- * paths.
+ * Reads are buffered FILE* reads.  A damaged file yields its valid
+ * prefix and a typed TraceError (TRUNCATED / BAD_CHECKSUM /
+ * BAD_CHUNK / BAD_STATIC / READ_ERROR / ...) carrying the byte offset,
+ * chunk index, and path of the failure; transient read faults retry
+ * with backoff, persistently bad paths are quarantined process-wide,
+ * and a fault-injector hook drives that path in tests.
+ *
+ * The classes keep their v3 names (TraceV3Writer, TraceV3Source):
+ * they name the chunked container family, whose callers did not
+ * change when the record layout did.
  */
 
 #ifndef REPLAY_TRACE_TRACEV3_HH
@@ -43,19 +53,21 @@
 #include <cstdio>
 #include <functional>
 #include <string>
+#include <unordered_map>
 #include <vector>
 
+#include "trace/chunk.hh"
 #include "trace/tracefile.hh"
 
 namespace replay::trace {
 
-/** v3 on-disk layout constants (tests corrupt fields by offset). */
-namespace v3 {
+/** v4 on-disk layout constants (tests corrupt fields by offset). */
+namespace v4 {
 
 constexpr uint32_t MAGIC = 0x52504c54;        // "RPLT" (shared sniff)
-constexpr uint32_t VERSION = 3;
-constexpr uint32_t CHUNK_MAGIC = 0x334b4843;  // "CHK3"
-constexpr uint32_t FOOTER_MAGIC = 0x33465052; // "RPF3"
+constexpr uint32_t VERSION = 4;
+constexpr uint32_t CHUNK_MAGIC = 0x344b4843;  // "CHK4"
+constexpr uint32_t FOOTER_MAGIC = 0x34465052; // "RPF4"
 
 /** Header: magic, version, recordBytes, recordCount, codec,
  *  chunkRecords, indexOffset, headerChecksum. */
@@ -65,11 +77,13 @@ constexpr size_t HEADER_BYTES = 4 + 4 + 4 + 8 + 4 + 4 + 8 + 4;
  *  checksum. */
 constexpr size_t CHUNK_HEADER_BYTES = 4 + 4 + 4 + 4 + 8 + 4;
 
-/** Index entry: offset, firstRecord, payloadBytes, records, checksum. */
-constexpr size_t INDEX_ENTRY_BYTES = 8 + 8 + 4 + 4 + 4;
+/** Index entry: offset, firstRecord, payloadBytes, rawBytes, records,
+ *  checksum. */
+constexpr size_t INDEX_ENTRY_BYTES = 8 + 8 + 4 + 4 + 4 + 4;
 
-/** Footer: indexOffset, chunkCount, indexChecksum, reserved, magic. */
-constexpr size_t FOOTER_BYTES = 8 + 4 + 4 + 4 + 4;
+/** Footer: indexOffset, chunkCount, indexChecksum, staticCount,
+ *  staticBytes, staticChecksum, reserved, magic. */
+constexpr size_t FOOTER_BYTES = 8 + 4 + 4 + 4 + 4 + 4 + 4 + 4;
 
 // Field offsets within the header (for targeted corruption tests).
 constexpr size_t HDR_OFF_MAGIC = 0;
@@ -89,12 +103,33 @@ constexpr size_t CHK_OFF_RECORDS = 12;
 constexpr size_t CHK_OFF_FIRST_RECORD = 16;
 constexpr size_t CHK_OFF_CHECKSUM = 24;
 
-} // namespace v3
+// Field offsets within the footer.
+constexpr size_t FTR_OFF_INDEX_OFFSET = 0;
+constexpr size_t FTR_OFF_CHUNK_COUNT = 8;
+constexpr size_t FTR_OFF_INDEX_CHECKSUM = 12;
+constexpr size_t FTR_OFF_STATIC_COUNT = 16;
+constexpr size_t FTR_OFF_STATIC_BYTES = 20;
+constexpr size_t FTR_OFF_STATIC_CHECKSUM = 24;
+constexpr size_t FTR_OFF_RESERVED = 28;
+constexpr size_t FTR_OFF_MAGIC = 32;
+
+/** One index entry (mirrored by its chunk's header). */
+struct IndexEntry
+{
+    uint64_t offset;        ///< chunk header's file offset
+    uint64_t firstRecord;
+    uint32_t payloadBytes;  ///< stored (possibly compressed) bytes
+    uint32_t rawBytes;      ///< compact record bytes after inflate
+    uint32_t records;
+    uint32_t checksum;      ///< chunkChecksum of the stored payload
+};
+
+} // namespace v4
 
 /** Chunk payload codecs. */
 enum class V3Codec : uint32_t
 {
-    RAW = 0,        ///< stored verbatim (fastest ingest, zero-copy)
+    RAW = 0,        ///< stored as is (no inflate on ingest)
     ZLIB = 1,       ///< zlib-deflated (compact corpus artifacts)
 };
 
@@ -106,9 +141,9 @@ bool v3ZlibAvailable();
 /** Writer/recorder options. */
 struct V3Options
 {
-    /** Records per chunk; also the seek granularity.  The default
-     *  (~100kB raw per chunk) amortizes the per-chunk header while
-     *  keeping resume cheap. */
+    /** Records per chunk; also the seek granularity and the span of
+     *  the delta state.  The default (~6 kB raw per chunk) amortizes
+     *  the per-chunk header while keeping resume cheap. */
     uint32_t chunkRecords = 1024;
 
     V3Codec codec = defaultCodec();
@@ -117,7 +152,7 @@ struct V3Options
     static V3Codec defaultCodec();
 };
 
-/** Streaming writer for the v3 container. */
+/** Streaming writer for the v4 container. */
 class TraceV3Writer
 {
   public:
@@ -145,44 +180,43 @@ class TraceV3Writer
                                 V3Options opts = {});
 
   private:
-    struct PendingEntry
-    {
-        uint64_t offset;
-        uint64_t firstRecord;
-        uint32_t payloadBytes;
-        uint32_t records;
-        uint32_t checksum;
-    };
-
     void fail(TraceError::Kind kind, std::string msg);
     bool flushChunk();
+    uint32_t intern(const TraceRecord &rec);
+    bool store(const std::vector<uint8_t> &raw, const uint8_t *&payload,
+               uint32_t &payload_bytes);
 
     std::FILE *file_ = nullptr;
     std::string path_;
     V3Options opts_;
     uint64_t count_ = 0;            ///< records written so far
     uint64_t fileOffset_ = 0;       ///< running write position
-    std::vector<uint8_t> raw_;      ///< pending encoded records
+    std::vector<uint8_t> raw_;      ///< pending compact records
     uint32_t pendingRecords_ = 0;
     std::vector<uint8_t> zbuf_;     ///< compression scratch
-    std::vector<PendingEntry> index_;
+    std::vector<v4::IndexEntry> index_;
     TraceError error_;
+
+    // Static table: canonical encodings of the distinct static parts,
+    // found by pc through a chain of same-pc entries starting at the
+    // lowest-numbered one (the entry an implied successor names).
+    std::vector<uint8_t> statics_;
+    std::unordered_map<uint32_t, uint32_t> firstByPc_;
+    std::vector<uint32_t> nextSamePc_;
+    wire::DeltaState delta_;
+    bool followOn_ = false;     ///< previous record implies the next
+    uint32_t prevNextPc_ = 0;
 };
 
 /** Read-side options for TraceV3Source. */
 struct V3SourceOptions
 {
-    /** Map the file and decode straight out of the mapping; the
-     *  REPLAY_TRACEV3_NO_MMAP environment variable (or mmap failure)
-     *  forces the buffered FILE* fallback. */
-    bool preferMmap = true;
-
     /** Present only the first N records (0 = all).  Replay budget cap
      *  for corpus traces recorded longer than a sweep needs. */
     uint64_t limitRecords = 0;
 };
 
-/** TraceSource over a v3 container. */
+/** TraceSource over a v4 container. */
 class TraceV3Source : public TraceSource
 {
   public:
@@ -208,9 +242,6 @@ class TraceV3Source : public TraceSource
     /** Number of chunks the index describes. */
     size_t chunkCount() const { return index_.size(); }
 
-    /** True when the mmap zero-copy path is active. */
-    bool usedMmap() const { return map_ != nullptr; }
-
     /**
      * Reposition the cursor to absolute record @p n (0-based), using
      * the index to land on the owning chunk without touching the
@@ -224,7 +255,7 @@ class TraceV3Source : public TraceSource
      * Chaos hook: when set, each chunk load first asks the hook
      * whether to behave as a failed read (transient I/O fault).  The
      * injected fault exercises exactly the retry/backoff path real
-     * transient EIO does — in both the buffered and mmap modes.
+     * transient EIO does.
      */
     void
     setIoFaultInjector(std::function<bool()> hook)
@@ -239,15 +270,6 @@ class TraceV3Source : public TraceSource
     static constexpr unsigned MAX_READ_RETRIES = 3;
 
   private:
-    struct IndexEntry
-    {
-        uint64_t offset;
-        uint64_t firstRecord;
-        uint32_t payloadBytes;
-        uint32_t records;
-        uint32_t checksum;
-    };
-
     struct DecodedChunk
     {
         uint64_t firstRecord = 0;
@@ -263,8 +285,6 @@ class TraceV3Source : public TraceSource
     void recycleFront();
 
     std::FILE *file_ = nullptr;
-    const uint8_t *map_ = nullptr;
-    size_t mapLen_ = 0;
     std::string path_;
     Options opts_;
 
@@ -272,16 +292,17 @@ class TraceV3Source : public TraceSource
     uint64_t effTotal_ = 0;     ///< min(total, limit)
     uint64_t consumed_ = 0;     ///< absolute cursor (record index)
     uint64_t base_ = 0;         ///< consumed() origin (seek target)
-    uint32_t recordBytes_ = 0;
     V3Codec codec_ = V3Codec::RAW;
-    std::vector<IndexEntry> index_;
+    std::vector<v4::IndexEntry> index_;
     size_t nextChunk_ = 0;      ///< next index entry to load
+    wire::StaticTable statics_;
+    wire::DeltaState delta_;
 
     std::vector<DecodedChunk> window_;  ///< decoded, front = oldest
     std::vector<std::vector<TraceRecord>> pool_;
 
-    std::vector<uint8_t> ioBuf_;    ///< buffered-mode chunk staging
-    std::vector<uint8_t> rawBuf_;   ///< decompression scratch
+    std::vector<uint8_t> ioBuf_;    ///< chunk staging (+ COMPACT_PAD)
+    std::vector<uint8_t> rawBuf_;   ///< inflate scratch (+ COMPACT_PAD)
 
     TraceError error_;
     std::function<bool()> ioInject_;
@@ -300,30 +321,32 @@ struct V3Info
     uint32_t chunkRecords = 0;
     uint64_t indexOffset = 0;
 
-    struct Chunk
-    {
-        uint64_t offset;
-        uint64_t firstRecord;
-        uint32_t payloadBytes;
-        uint32_t records;
-        uint32_t checksum;
-    };
+    uint64_t staticOffset = 0;  ///< start of the stored static table
+    uint32_t staticCount = 0;   ///< distinct static instructions
+    uint32_t staticBytes = 0;   ///< stored static-table bytes
+
+    using Chunk = v4::IndexEntry;
     std::vector<Chunk> chunks;
 
     bool ok() const { return error.ok(); }
 
-    /** Compressed payload bytes across all chunks. */
+    /** Stored payload bytes across all chunks. */
     uint64_t payloadBytes() const;
+
+    /** Compact record bytes across all chunks (what ingest inflates
+     *  and decodes per replay). */
+    uint64_t rawBytes() const;
 };
 
-/** Read header/footer/index without touching chunk payloads. */
+/** Read and validate header, footer, index and static table without
+ *  touching chunk payloads. */
 V3Info inspectV3(const std::string &path);
 
 /**
  * Sniff the container version of @p path (4-byte magic + version
  * field) and open the matching TraceSource.  Sets @p err and returns
- * nullptr when the file is neither a v2 nor a v3 trace.  @p limit
- * caps the presented records for v3 (v2 has no cheap cap and reports
+ * nullptr when the file is neither a v2 nor a v4 trace.  @p limit
+ * caps the presented records for v4 (v2 has no cheap cap and reports
  * its full stream).
  */
 std::unique_ptr<TraceSource> openTraceFile(const std::string &path,

@@ -150,10 +150,10 @@ runOptimizerPass(const std::vector<trace::TraceRecord> &records,
 }
 
 /**
- * v3 mmap ingest bandwidth (decoded record bytes per second) over a
- * RAW container of the harvested records.  RAW + mmap is the
- * configuration the >=2x-over-v2 design claim is made for (see
- * bench_trace_ingest for the full v2/v3 comparison table).
+ * v4 ingest bandwidth (decoded canonical record bytes per second) over
+ * a RAW container of the harvested records.  RAW is the configuration
+ * the >=2x-over-v2 design claim is made for (see bench_trace_ingest
+ * for the full v2/v4 comparison table).
  */
 void
 runIngestPass(const std::vector<trace::TraceRecord> &records,
@@ -354,7 +354,7 @@ check(const Measurement &m, const std::string &baseline_path,
         std::printf("perfgate: %-14s %12.0f  (no baseline entry; "
                     "not gated)\n",
                     "opt-uops/s", m.optUopsPerSec);
-    // v3 mmap trace ingest bandwidth: same opt-in scheme.
+    // v4 trace ingest bandwidth: same opt-in scheme.
     double base_ingest = 0;
     if (jsonNumber(text, "trace_ingest_mbps", base_ingest))
         gate("ingest-MB/s", m.traceIngestMbps, base_ingest);

@@ -194,7 +194,7 @@ emitJson(const Target &target, const sim::SweepResult &result,
                     "\"ipc\": %.6f, \"uop_reduction\": %.6f, "
                     "\"load_reduction\": %.6f, \"coverage\": %.6f, "
                     "\"frame_commits\": %llu, \"frame_aborts\": %llu, "
-                    "\"tier_enqueues\": %llu, \"tier_reopts\": %llu, "
+                    "\"tier_enqueues\": %llu, "
                     "\"tier_publishes\": %llu, "
                     "\"tier_uops_removed\": %llu, "
                     "\"fingerprint\": \"%016llx\"}%s\n",
@@ -207,7 +207,6 @@ emitJson(const Target &target, const sim::SweepResult &result,
                     (unsigned long long)cell.frameCommits,
                     (unsigned long long)cell.frameAborts,
                     (unsigned long long)cell.tierEnqueues,
-                    (unsigned long long)cell.tierReopts,
                     (unsigned long long)cell.tierPublishes,
                     (unsigned long long)cell.tierUopsRemoved,
                     (unsigned long long)cell.fingerprint(),

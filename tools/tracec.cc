@@ -5,10 +5,11 @@
  * One CLI for everything that touches trace containers outside the
  * simulator:
  *
- *   record <workload> <hotspot> <insts> <out>   synthesize + record v3
- *   convert <in> <out>                          v2 or v3 → v3 (recode)
+ *   record <workload> <hotspot> <insts> <out>   synthesize + record v4
+ *   convert <in> <out>                          v2 or v4 → v4 (recode)
  *   verify <file...>                            full read + digest
- *   inspect <file...>                           header/codec/geometry
+ *   inspect <file...>                           geometry, static table,
+ *                                               bytes per record
  *   index <file>                                dump the chunk index
  *   corpus-build <dir> --insts N                record all workloads,
  *                                               write corpus.json
@@ -248,20 +249,25 @@ cmdInspect(const std::vector<std::string> &args)
             rc = 1;
             continue;
         }
-        const uint64_t raw =
-            info.recordCount * uint64_t(info.recordBytes);
+        // Per-record bytes are the deterministic ingest work counter:
+        // "raw" is what every replay inflates and decodes, "stored"
+        // is the whole file.
+        const double recs =
+            info.recordCount ? double(info.recordCount) : 1.0;
         std::printf(
-            "%s: v3, %llu records (%u bytes each), codec %s, "
-            "%zu chunks of %u records, %llu -> %llu payload bytes "
-            "(%.2fx), %llu file bytes\n",
+            "%s: v4, %llu records, codec %s, %zu chunks of %u records\n"
+            "  static table: %u entries, %llu raw -> %u stored bytes\n"
+            "  chunk payloads: %llu raw -> %llu stored bytes\n"
+            "  per record: %.2f raw bytes, %.2f stored bytes "
+            "(%llu file bytes)\n",
             path.c_str(), (unsigned long long)info.recordCount,
-            info.recordBytes, v3CodecName(info.codec),
-            info.chunks.size(), info.chunkRecords,
-            (unsigned long long)raw,
+            v3CodecName(info.codec), info.chunks.size(),
+            info.chunkRecords, info.staticCount,
+            (unsigned long long)info.staticCount * info.recordBytes,
+            info.staticBytes, (unsigned long long)info.rawBytes(),
             (unsigned long long)info.payloadBytes(),
-            info.payloadBytes()
-                ? double(raw) / double(info.payloadBytes())
-                : 0.0,
+            double(info.rawBytes()) / recs,
+            double(info.fileBytes) / recs,
             (unsigned long long)info.fileBytes);
     }
     return rc;
@@ -278,15 +284,18 @@ cmdIndex(const std::vector<std::string> &args)
                      info.error.describe().c_str());
         return 1;
     }
-    std::printf("%-6s %-12s %-12s %-10s %-10s %s\n", "chunk", "offset",
-                "first_rec", "records", "payload", "checksum");
+    std::printf("%-6s %-12s %-12s %-10s %-10s %-10s %s\n", "chunk",
+                "offset", "first_rec", "records", "raw", "payload",
+                "checksum");
     for (size_t i = 0; i < info.chunks.size(); ++i) {
         const auto &c = info.chunks[i];
-        std::printf("%-6zu %-12llu %-12llu %-10u %-10u %08x\n", i,
+        std::printf("%-6zu %-12llu %-12llu %-10u %-10u %-10u %08x\n", i,
                     (unsigned long long)c.offset,
                     (unsigned long long)c.firstRecord, c.records,
-                    c.payloadBytes, c.checksum);
+                    c.rawBytes, c.payloadBytes, c.checksum);
     }
+    std::printf("static table at byte %llu, %u entries\n",
+                (unsigned long long)info.staticOffset, info.staticCount);
     std::printf("index at byte %llu, %zu entries\n",
                 (unsigned long long)info.indexOffset,
                 info.chunks.size());
