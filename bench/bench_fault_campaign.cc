@@ -12,26 +12,29 @@
  *   3. degradation: performance degrades gracefully — faulty rePLay+Opt
  *                   never drops below the conventional ICache baseline.
  *
- * A second phase damages persisted trace files (truncation, random bit
- * flips) and checks the container degrades to its valid prefix instead
- * of killing the simulator.  Exits non-zero on any violation.
+ * A second phase damages persisted trace files (truncation, a byte flip
+ * inside one chunk's payload) and checks each surfaces as its exact
+ * TraceError with its exact valid prefix, and that the simulator
+ * completes on that prefix.  Exits non-zero on any violation.
  */
 
 #include "common.hh"
 
+#include <unistd.h>
+
 #include <filesystem>
 
 #include "fault/faultinjector.hh"
-#include "trace/tracefile.hh"
+#include "trace/tracev3.hh"
 
 using namespace replay;
 using fault::FaultInjector;
 using sim::Machine;
 using sim::RunStats;
 using sim::SimConfig;
-using trace::FileTraceSource;
 using trace::TraceError;
-using trace::TraceFileWriter;
+using trace::TraceV3Source;
+using trace::TraceV3Writer;
 
 namespace {
 
@@ -134,43 +137,56 @@ main()
     // ---- phase 2: damaged trace files --------------------------------
     std::printf("Trace-container robustness:\n");
     const uint64_t dump_insts = std::min<uint64_t>(insts, 20000);
+    trace::V3Options v4opts;
+    v4opts.chunkRecords = 1000;
     for (const char *name : {"gzip", "eon", "excel"}) {
         const auto &w = trace::findWorkload(name);
-        const std::string path = (std::filesystem::temp_directory_path() /
-                                  (std::string(name) + ".campaign.rplt"))
-                                     .string();
-        TraceFileWriter::dumpProgram(w.buildProgram(0), dump_insts, path);
-        const uint64_t size = std::filesystem::file_size(path);
+        const std::string path =
+            (std::filesystem::temp_directory_path() /
+             (std::string(name) + ".campaign." +
+              std::to_string(unsigned(::getpid())) + ".rpl3"))
+                .string();
+        TraceV3Writer::dumpProgram(w.buildProgram(0), dump_insts, path,
+                                   v4opts);
+        const trace::V3Info layout = trace::inspectV3(path);
+        check(layout.ok() && !layout.chunks.empty(),
+              std::string(name) + ": no chunk layout");
+        if (!layout.ok() || layout.chunks.empty())
+            continue;
 
-        // Truncation: the reader must surface the valid prefix and the
-        // simulator must complete on it.
-        FaultInjector::truncateFile(path, size / 2);
-        FileTraceSource truncated(path);
+        // Truncation cuts the footer: the container is refused at open
+        // as TRUNCATED (never a retriable READ_ERROR), and the
+        // simulator completes on the empty prefix.
+        FaultInjector::truncateFile(path, layout.fileBytes / 2);
+        TraceV3Source truncated(path);
         SimConfig cfg = SimConfig::make(Machine::RPO);
         const RunStats r = sim::simulateTrace(cfg, truncated, name);
-        check(r.x86Retired > 0 && r.x86Retired < dump_insts,
-              std::string(name) + ": truncated trace not prefix-read");
         check(truncated.error().kind == TraceError::Kind::TRUNCATED,
               std::string(name) + ": truncation not reported");
+        check(r.x86Retired == 0,
+              std::string(name) + ": truncated trace delivered records");
         std::printf("  %-6s truncated  -> %llu/%llu insts, error=%s\n",
                     name, (unsigned long long)r.x86Retired,
                     (unsigned long long)dump_insts,
                     trace::traceErrorKindName(truncated.error().kind));
 
-        // Bit flips: record checksums must stop the stream.
-        TraceFileWriter::dumpProgram(w.buildProgram(0), dump_insts, path);
-        FaultInjector::corruptFileBytes(path, 99, 0.0002, 20);
-        FileTraceSource flipped(path);
-        uint64_t n = 0;
-        while (!flipped.done()) {
-            flipped.advance();
-            ++n;
-        }
-        check(flipped.error().kind == TraceError::Kind::BAD_CHECKSUM ||
-                  flipped.error().kind == TraceError::Kind::TRUNCATED,
+        // A byte flip in the middle chunk's payload: the chunk checksum
+        // stops the stream after exactly the chunks before it, and the
+        // simulator completes on that prefix.
+        TraceV3Writer::dumpProgram(w.buildProgram(0), dump_insts, path,
+                                   v4opts);
+        const auto &chunk = layout.chunks[layout.chunks.size() / 2];
+        FaultInjector::flipByteAt(path, chunk.offset +
+                                            trace::v4::CHUNK_HEADER_BYTES +
+                                            chunk.payloadBytes / 2);
+        TraceV3Source flipped(path);
+        const RunStats f = sim::simulateTrace(cfg, flipped, name);
+        check(flipped.error().kind == TraceError::Kind::BAD_CHECKSUM,
               std::string(name) + ": corruption not caught");
-        std::printf("  %-6s bit-flips  -> %llu/%llu records, error=%s\n",
-                    name, (unsigned long long)n,
+        check(f.x86Retired == chunk.firstRecord,
+              std::string(name) + ": flipped trace not prefix-read");
+        std::printf("  %-6s bit-flip   -> %llu/%llu insts, error=%s\n",
+                    name, (unsigned long long)f.x86Retired,
                     (unsigned long long)dump_insts,
                     trace::traceErrorKindName(flipped.error().kind));
         std::filesystem::remove(path);

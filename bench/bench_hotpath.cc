@@ -10,7 +10,7 @@
  *   - frame construct -> optimize -> deposit (pooled frames, scratch
  *     optimizer buffers),
  *   - frame-cache lookup and churn (flat open-addressing index),
- *   - trace-file streaming (batched block decode).
+ *   - trace-file streaming (v4 chunk read + compact decode).
  *
  * These are exploration benches; the regression gate is the
  * deterministic `tools/perfgate` runner, which writes
@@ -18,8 +18,10 @@
  */
 
 #include <benchmark/benchmark.h>
+#include <unistd.h>
 
 #include <cstdio>
+#include <filesystem>
 #include <memory>
 #include <string>
 #include <vector>
@@ -31,8 +33,8 @@
 #include "opt/passes.hh"
 #include "opt/remapper.hh"
 #include "sim/simulator.hh"
-#include "trace/tracefile.hh"
 #include "trace/tracer.hh"
+#include "trace/tracev3.hh"
 #include "trace/workload.hh"
 #include "x86/executor.hh"
 
@@ -284,31 +286,40 @@ BM_OptPassDce(benchmark::State &state)
 }
 BENCHMARK(BM_OptPassDce);
 
-/** Trace-file streaming with batched block decode (records/s). */
+/** v4 trace-file streaming: chunk read, inflate, compact decode
+ *  (records/s). */
 static void
 BM_TraceFileStream(benchmark::State &state)
 {
-    const std::string path = "/tmp/bench_hotpath_stream.rplt";
-    static const uint64_t written = [&] {
-        const auto &w = trace::findWorkload("gzip");
-        return trace::TraceFileWriter::dumpProgram(w.buildProgram(0),
-                                                   50000, path);
-    }();
+    // Recorded once per process under a per-process name and removed
+    // at exit: the harness re-enters this function several times while
+    // estimating iteration counts, each needing the whole stream.
+    static const struct StreamFile
+    {
+        std::string path =
+            (std::filesystem::temp_directory_path() /
+             ("bench_hotpath_stream." +
+              std::to_string(unsigned(::getpid())) + ".rpl3"))
+                .string();
+        StreamFile()
+        {
+            const auto &w = trace::findWorkload("gzip");
+            trace::TraceV3Writer::dumpProgram(w.buildProgram(0), 50000,
+                                              path);
+        }
+        ~StreamFile() { std::remove(path.c_str()); }
+    } file;
     uint64_t records = 0;
     for (auto _ : state) {
-        trace::FileTraceSource src(path);
+        trace::TraceV3Source src(file.path);
         while (!src.done()) {
             benchmark::DoNotOptimize(src.peek());
             src.advance();
         }
         records += src.consumed();
     }
-    benchmark::DoNotOptimize(written);
     state.counters["records/s"] =
         benchmark::Counter(double(records), benchmark::Counter::kIsRate);
-    // The file is left in /tmp: the harness re-enters this function
-    // several times while estimating iteration counts, and deleting it
-    // here would leave later entries with an empty stream.
 }
 BENCHMARK(BM_TraceFileStream)->Unit(benchmark::kMillisecond);
 

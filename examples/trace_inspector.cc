@@ -8,11 +8,14 @@
  *   $ build/examples/trace_inspector [workload] [insts]
  */
 
+#include <unistd.h>
+
 #include <cstdio>
 #include <cstdlib>
+#include <filesystem>
 
 #include "sim/simulator.hh"
-#include "trace/tracefile.hh"
+#include "trace/tracev3.hh"
 #include "trace/workload.hh"
 #include "x86/disasm.hh"
 
@@ -27,16 +30,20 @@ main(int argc, char **argv)
 
     const auto &w = trace::findWorkload(name);
     const auto prog = w.buildProgram(0);
-    const std::string path = "/tmp/" + name + ".rplt";
-    trace::TraceFileWriter::dumpProgram(prog, insts, path);
+    // A per-process file in $TMPDIR, so concurrent runs never share it.
+    const std::string path =
+        (std::filesystem::temp_directory_path() /
+         (name + "." + std::to_string(unsigned(::getpid())) + ".rpl3"))
+            .string();
+    trace::TraceV3Writer::dumpProgram(prog, insts, path);
     std::printf("captured %llu instructions of %s to %s\n\n",
                 (unsigned long long)insts, name.c_str(), path.c_str());
 
     // Inspect the first records, the way the paper's trace reader
     // disassembles raw instruction data (§5.1.1).
-    trace::FileTraceSource src(path);
+    trace::TraceV3Source src(path);
     std::printf("first 12 records:\n");
-    for (unsigned i = 0; i < 12; ++i) {
+    for (unsigned i = 0; i < 12 && !src.done(); ++i) {
         const trace::TraceRecord *rec = src.peek();
         std::printf("  %08x  %-28s", rec->pc,
                     x86::disassemble(rec->inst).c_str());
@@ -55,12 +62,13 @@ main(int argc, char **argv)
     }
 
     // Replay the rest of the file through the optimizing machine.
-    trace::FileTraceSource replay_src(path);
+    trace::TraceV3Source replay_src(path);
     const auto stats = sim::simulateTrace(
         sim::SimConfig::make(sim::Machine::RPO), replay_src, name);
     std::printf("\nreplayed under RPO: IPC %.3f, %.0f%% coverage, "
                 "%.0f%% micro-ops removed\n",
                 stats.ipc(), stats.coverage() * 100,
                 stats.uopReduction() * 100);
+    std::remove(path.c_str());
     return 0;
 }

@@ -31,10 +31,11 @@ else
     # (nondeterminism).  Gated metrics: sweep insts/s, engine frames/s,
     # and — since the SoA slab IR — pass-level optimizer opt-uops/s
     # (explore the same datapath interactively with the BM_Opt* benches
-    # in bench/bench_hotpath.cc), plus v4 RAW trace-ingest MB/s (full
-    # v2/v4 table: bench/bench_trace_ingest).  The checked-in baseline is the
-    # median of several runs, so the 25% floor absorbs machine noise
-    # without hiding real regressions.  Skip with
+    # in bench/bench_hotpath.cc), plus v4 RAW trace-ingest MB/s (the
+    # per-record ingest cost is perfbench's traced trace.ingest.*
+    # layer).  The checked-in baseline is the median of several runs,
+    # so the 25% floor absorbs machine noise without hiding real
+    # regressions.  Skip with
     # REPLAY_SKIP_PERFGATE=1 (e.g. on heavily loaded or throttled
     # machines).
     "$BUILD/tools/perfgate" --check \

@@ -138,40 +138,6 @@ FaultInjector::maybeStall()
     return true;
 }
 
-unsigned
-FaultInjector::corruptFileBytes(const std::string &path, uint64_t seed,
-                                double byte_rate, uint64_t skip_bytes)
-{
-    std::FILE *f = std::fopen(path.c_str(), "rb");
-    if (!f)
-        return 0;
-    std::vector<uint8_t> bytes;
-    uint8_t buf[4096];
-    size_t n;
-    while ((n = std::fread(buf, 1, sizeof(buf), f)) > 0)
-        bytes.insert(bytes.end(), buf, buf + n);
-    std::fclose(f);
-
-    Rng rng(seed);
-    unsigned flipped = 0;
-    for (size_t i = skip_bytes; i < bytes.size(); ++i) {
-        if (rng.chance(byte_rate)) {
-            bytes[i] ^= uint8_t(1u << rng.below(8));
-            ++flipped;
-        }
-    }
-    if (!flipped)
-        return 0;
-
-    f = std::fopen(path.c_str(), "wb");
-    if (!f)
-        return 0;
-    const bool wrote =
-        std::fwrite(bytes.data(), 1, bytes.size(), f) == bytes.size();
-    std::fclose(f);
-    return wrote ? flipped : 0;
-}
-
 uint64_t
 FaultInjector::hashBody(const opt::OptimizedFrame &body)
 {

@@ -96,25 +96,16 @@ class FaultInjector
     /** Site (f): should this checkpoint stall (watchdog exercise)? */
     bool maybeStall();
 
-    /**
-     * Site (a): flip each payload byte of the file at @p path with
-     * probability @p byte_rate, leaving the first @p skip_bytes (the
-     * header) intact.  Returns the number of bytes flipped.
-     */
-    static unsigned corruptFileBytes(const std::string &path,
-                                     uint64_t seed, double byte_rate,
-                                     uint64_t skip_bytes);
-
     /** Site (a): truncate the file at @p path to @p keep_bytes. */
     static bool truncateFile(const std::string &path,
                              uint64_t keep_bytes);
 
     /**
-     * Site (a), targeted variant: XOR the byte at @p offset with
-     * @p mask.  The corruption-matrix tests aim this at one structural
-     * field of a container (a magic, a length, a checksum) to prove
-     * the exact field is guarded; corruptFileBytes() is the scattershot
-     * version.  Applying the same mask twice restores the file.
+     * Site (a): XOR the byte at @p offset with @p mask.  Callers aim
+     * it at one structural field of a container (a magic, a length, a
+     * checksum) or at one chunk's payload, to prove the exact field is
+     * guarded and the verdict is exact.  Applying the same mask twice
+     * restores the file.
      */
     static bool flipByteAt(const std::string &path, uint64_t offset,
                            uint8_t mask = 0xff);

@@ -284,30 +284,29 @@ TraceCorpus::open(const CorpusEntry &entry, uint64_t limit,
                   TraceError *err) const
 {
     const std::string path = resolvePath(entry);
-    TraceError open_err;
-    auto src = openTraceFile(path, &open_err, limit);
-    if (!src || !open_err.ok()) {
+    TraceV3Source::Options opts;
+    opts.limitRecords = limit;
+    auto src = std::make_unique<TraceV3Source>(path, opts);
+    if (!src->ok()) {
         if (err)
-            *err = open_err;
+            *err = src->error();
         return nullptr;
     }
     // The manifest pins the recording length; a shorter container is a
     // stale or damaged artifact, and replaying it would silently
     // shorten the workload.
-    if (auto *v3 = dynamic_cast<TraceV3Source *>(src.get())) {
-        const uint64_t have =
-            limit && limit < entry.records ? limit : entry.records;
-        if (v3->totalRecords() < have) {
-            if (err)
-                *err = TraceError::at(
-                    Kind::TRUNCATED,
-                    "corpus trace '" + entry.id + "' holds " +
-                        std::to_string(v3->totalRecords()) +
-                        " records, manifest pins " +
-                        std::to_string(entry.records),
-                    path, 0);
-            return nullptr;
-        }
+    const uint64_t have =
+        limit && limit < entry.records ? limit : entry.records;
+    if (src->totalRecords() < have) {
+        if (err)
+            *err = TraceError::at(
+                Kind::TRUNCATED,
+                "corpus trace '" + entry.id + "' holds " +
+                    std::to_string(src->totalRecords()) +
+                    " records, manifest pins " +
+                    std::to_string(entry.records),
+                path, 0);
+        return nullptr;
     }
     if (err)
         *err = TraceError{};

@@ -5,10 +5,10 @@
  * The paper's infrastructure treated its hardware trace captures as a
  * *corpus* — a fixed artifact set every experiment replays.  This
  * module is our equivalent: a `corpus.json` manifest mapping each
- * (workload, hot-spot) pair to an on-disk trace container, pinned by
- * record count and a container-independent stream digest
- * (wire::streamDigest — a v2 file, its v3 conversion, and the live
- * synthesizer all digest identically).
+ * (workload, hot-spot) pair to an on-disk v4 trace container, pinned
+ * by record count and a stream digest (wire::streamDigest — the
+ * recorded container and the live synthesizer digest identically,
+ * whatever the codec or chunk size).
  *
  * Consumers (sweep, replaybench, difforacle) resolve traces through
  * TraceCorpus::find(): a hit replays the recorded container, a miss
@@ -25,7 +25,7 @@
 #include <string>
 #include <vector>
 
-#include "trace/tracefile.hh"
+#include "trace/tracev3.hh"
 
 namespace replay::trace {
 

@@ -3,9 +3,11 @@
 #include <algorithm>
 #include <chrono>
 #include <cstring>
+#include <set>
 #include <thread>
 
 #include "util/logging.hh"
+#include "util/sync.hh"
 #include "x86/executor.hh"
 
 #if defined(REPLAY_HAVE_ZLIB)
@@ -13,6 +15,96 @@
 #endif
 
 namespace replay::trace {
+
+// --------------------------------------------------------------------
+// Errors and quarantine
+// --------------------------------------------------------------------
+
+std::string
+TraceError::describe() const
+{
+    std::string out = traceErrorKindName(kind);
+    out += ": ";
+    out += message;
+    if (!path.empty()) {
+        out += " [";
+        out += path;
+        out += " @byte " + std::to_string(byteOffset);
+        if (chunkIndex >= 0)
+            out += " chunk " + std::to_string(chunkIndex);
+        out += "]";
+    }
+    return out;
+}
+
+const char *
+traceErrorKindName(TraceError::Kind kind)
+{
+    switch (kind) {
+      case TraceError::Kind::NONE:            return "none";
+      case TraceError::Kind::OPEN_FAILED:     return "open_failed";
+      case TraceError::Kind::SHORT_HEADER:    return "short_header";
+      case TraceError::Kind::BAD_MAGIC:       return "bad_magic";
+      case TraceError::Kind::BAD_VERSION:     return "bad_version";
+      case TraceError::Kind::BAD_RECORD_SIZE: return "bad_record_size";
+      case TraceError::Kind::TRUNCATED:       return "truncated";
+      case TraceError::Kind::BAD_CHECKSUM:    return "bad_checksum";
+      case TraceError::Kind::WRITE_FAILED:    return "write_failed";
+      case TraceError::Kind::FLUSH_FAILED:    return "flush_failed";
+      case TraceError::Kind::READ_ERROR:      return "read_error";
+      case TraceError::Kind::QUARANTINED:     return "quarantined";
+      case TraceError::Kind::BAD_CHUNK:       return "bad_chunk";
+      case TraceError::Kind::BAD_INDEX:       return "bad_index";
+      case TraceError::Kind::BAD_CODEC:       return "bad_codec";
+      case TraceError::Kind::BAD_STATIC:      return "bad_static";
+    }
+    return "?";
+}
+
+namespace {
+
+// Process-wide registry shared by every sweep worker; the mutex ranks
+// above the pool/queue locks because workers consult it from inside
+// running tasks (with no other lock held, but the rank keeps it
+// honest if that ever changes).
+sync::Mutex traceQuarantineMutex{"trace_registry",
+                                 sync::rank::TRACE_REGISTRY};
+std::set<std::string>
+    traceQuarantineSet GUARDED_BY(traceQuarantineMutex);
+
+} // anonymous namespace
+
+bool
+traceQuarantined(const std::string &path)
+{
+    sync::LockGuard lock(traceQuarantineMutex);
+    return traceQuarantineSet.count(path) != 0;
+}
+
+void
+quarantineTrace(const std::string &path)
+{
+    sync::LockGuard lock(traceQuarantineMutex);
+    traceQuarantineSet.insert(path);
+}
+
+void
+clearTraceQuarantine()
+{
+    sync::LockGuard lock(traceQuarantineMutex);
+    traceQuarantineSet.clear();
+}
+
+size_t
+traceQuarantineSize()
+{
+    sync::LockGuard lock(traceQuarantineMutex);
+    return traceQuarantineSet.size();
+}
+
+// --------------------------------------------------------------------
+// Codecs
+// --------------------------------------------------------------------
 
 const char *
 v3CodecName(V3Codec codec)
@@ -178,8 +270,7 @@ parseContainer(const std::string &path, uint64_t file_bytes,
 
     // Footer: a file that ends before (or inside) it was cut off
     // mid-write — the chunks may be fine, but without a trustworthy
-    // index the container is TRUNCATED, same as a v2 file that ends
-    // inside a record.
+    // index the container is TRUNCATED.
     if (file_bytes < v4::HEADER_BYTES + v4::FOOTER_BYTES)
         return fail(Kind::TRUNCATED, file + " ends before its footer",
                     file_bytes);
@@ -794,17 +885,6 @@ TraceV3Source::loadNextChunk()
     return true;
 }
 
-void
-TraceV3Source::recycleFront()
-{
-    while (!window_.empty() &&
-           window_.front().firstRecord + window_.front().recs.size() <=
-               consumed_) {
-        pool_.push_back(std::move(window_.front().recs));
-        window_.erase(window_.begin());
-    }
-}
-
 const TraceRecord *
 TraceV3Source::locate(uint64_t rec)
 {
@@ -821,26 +901,55 @@ TraceV3Source::locate(uint64_t rec)
     }
 }
 
+/**
+ * Point the cursor at record consumed_ once the previous chunk's run
+ * is used up: recycle the chunks wholly behind it, then take the front
+ * window chunk (loading it if no deep peek already has).  False at the
+ * end of the stream.
+ */
+bool
+TraceV3Source::enterChunk()
+{
+    size_t behind = 0;
+    while (behind < window_.size() &&
+           window_[behind].firstRecord + window_[behind].recs.size() <=
+               consumed_)
+        pool_.push_back(std::move(window_[behind++].recs));
+    window_.erase(window_.begin(), window_.begin() + behind);
+    cur_ = curEnd_ = nullptr;
+    if (consumed_ >= effTotal_ || (window_.empty() && !loadNextChunk()))
+        return false;
+    const DecodedChunk &c = window_.front();
+    const uint64_t end =
+        std::min<uint64_t>(effTotal_, c.firstRecord + c.recs.size());
+    cur_ = c.recs.data() + (consumed_ - c.firstRecord);
+    curEnd_ = c.recs.data() + (end - c.firstRecord);
+    return true;
+}
+
 const TraceRecord *
 TraceV3Source::peek(unsigned ahead)
 {
     panic_if(ahead >= LOOKAHEAD, "peek(%u) beyond lookahead", ahead);
+    if (ahead < uint64_t(curEnd_ - cur_))
+        return cur_ + ahead;
+    // Past the cursor's chunk (or before the cursor entered one).
     return locate(consumed_ + ahead);
 }
 
 void
 TraceV3Source::advance()
 {
-    panic_if(locate(consumed_) == nullptr,
-             "advance past end of v4 trace");
+    if (cur_ == curEnd_ && !enterChunk())
+        panic("advance past end of v4 trace");
+    ++cur_;
     ++consumed_;
-    recycleFront();
 }
 
 bool
 TraceV3Source::done()
 {
-    return locate(consumed_) == nullptr;
+    return cur_ == curEnd_ && !enterChunk();
 }
 
 bool
@@ -866,11 +975,12 @@ TraceV3Source::seekToRecord(uint64_t n)
     nextChunk_ = lo;
     consumed_ = target;
     base_ = target;
+    cur_ = curEnd_ = nullptr;
     return true;
 }
 
 // --------------------------------------------------------------------
-// Inspection + open-by-sniff
+// Inspection
 // --------------------------------------------------------------------
 
 uint64_t
@@ -912,65 +1022,6 @@ inspectV3(const std::string &path)
                                  readAt, statics);
     std::fclose(file);
     return info;
-}
-
-std::unique_ptr<TraceSource>
-openTraceFile(const std::string &path, TraceError *err, uint64_t limit)
-{
-    TraceError sniff_err;
-    uint32_t version = 0;
-    {
-        std::FILE *file = std::fopen(path.c_str(), "rb");
-        if (!file) {
-            sniff_err = TraceError::at(TraceError::Kind::OPEN_FAILED,
-                                       "cannot open trace file '" +
-                                           path + "'",
-                                       path, 0);
-        } else {
-            uint8_t buf[8];
-            if (std::fread(buf, sizeof(buf), 1, file) != 1) {
-                sniff_err = TraceError::at(
-                    TraceError::Kind::SHORT_HEADER,
-                    "trace file '" + path + "' has no header", path, 0);
-            } else if (wire::load32(buf) != v4::MAGIC) {
-                sniff_err =
-                    TraceError::at(TraceError::Kind::BAD_MAGIC,
-                                   "'" + path + "' is not a trace file",
-                                   path, 0);
-            } else {
-                version = wire::load32(buf + 4);
-            }
-            std::fclose(file);
-        }
-    }
-    if (!sniff_err.ok()) {
-        if (err)
-            *err = sniff_err;
-        return nullptr;
-    }
-
-    std::unique_ptr<TraceSource> src;
-    if (version == 2) {
-        auto v2 = std::make_unique<FileTraceSource>(path);
-        if (err)
-            *err = v2->error();
-        src = std::move(v2);
-    } else if (version == v4::VERSION) {
-        TraceV3Source::Options opts;
-        opts.limitRecords = limit;
-        auto v3src = std::make_unique<TraceV3Source>(path, opts);
-        if (err)
-            *err = v3src->error();
-        src = std::move(v3src);
-    } else {
-        if (err)
-            *err = TraceError::at(
-                TraceError::Kind::BAD_VERSION,
-                "trace file '" + path + "' has unsupported version " +
-                    std::to_string(version),
-                path, v4::HDR_OFF_VERSION);
-    }
-    return src;
 }
 
 } // namespace replay::trace

@@ -1,14 +1,17 @@
 /**
  * @file
- * The chunked trace container, format version 4.
+ * The trace file container, format version 4.
  *
  * The paper's simulator read hardware trace files: raw instruction
- * data plus register and memory side-band data (§5.1.1).  This
- * container stores the same information split the way the data is
- * split: the decoded instruction is a pure function of (program, PC),
- * so each trace's distinct static instructions are recorded once, in a
- * static table, and each dynamic record carries only what varies per
- * instance.
+ * data plus register and memory side-band data (§5.1.1).  This is the
+ * program's one trace file format: TraceV3Writer writes it,
+ * TraceV3Source replays it, and a file of any other version (the
+ * retired flat v2 stream, the v3 chunked layout) is refused at open
+ * with BAD_VERSION.  The container stores the same information split
+ * the way the data is split: the decoded instruction is a pure
+ * function of (program, PC), so each trace's distinct static
+ * instructions are recorded once, in a static table, and each dynamic
+ * record carries only what varies per instance.
  *
  *   HEADER   magic/version/record-size guard, record count, codec,
  *            chunk size, index offset, header checksum
@@ -35,8 +38,9 @@
  * touches the data.  The header, index and static table are read and
  * validated once at open.
  *
- * Reads are buffered FILE* reads.  A damaged file yields its valid
- * prefix and a typed TraceError (TRUNCATED / BAD_CHECKSUM /
+ * Reads are buffered FILE* reads, one per chunk, and the reader keeps
+ * a cursor into the decoded current chunk.  A damaged file yields its
+ * valid prefix and a typed TraceError (TRUNCATED / BAD_CHECKSUM /
  * BAD_CHUNK / BAD_STATIC / READ_ERROR / ...) carrying the byte offset,
  * chunk index, and path of the failure; transient read faults retry
  * with backoff, persistently bad paths are quarantined process-wide,
@@ -57,14 +61,81 @@
 #include <vector>
 
 #include "trace/chunk.hh"
-#include "trace/tracefile.hh"
 
 namespace replay::trace {
+
+/** Status/expected-style error descriptor for trace I/O. */
+struct TraceError
+{
+    enum class Kind : uint8_t
+    {
+        NONE,               ///< no error
+        OPEN_FAILED,        ///< file could not be opened
+        SHORT_HEADER,       ///< file ends inside the header
+        BAD_MAGIC,          ///< not a trace file
+        BAD_VERSION,        ///< unsupported format version
+        BAD_RECORD_SIZE,    ///< header record size != decoder's
+        TRUNCATED,          ///< file ends inside the container
+        BAD_CHECKSUM,       ///< header or chunk payload failed its checksum
+        WRITE_FAILED,       ///< fwrite reported a short write
+        FLUSH_FAILED,       ///< flush/close failed
+        READ_ERROR,         ///< read error persisted through retries
+        QUARANTINED,        ///< trace previously failed persistently
+        BAD_CHUNK,          ///< chunk header or payload corrupt/stale
+        BAD_INDEX,          ///< footer/index corrupt or inconsistent
+        BAD_CODEC,          ///< chunk codec unknown or unavailable
+        BAD_STATIC,         ///< static instruction table corrupt
+    };
+
+    Kind kind = Kind::NONE;
+    std::string message;
+
+    // Diagnostic anchors: every error names the file it came from and
+    // where in it the failure was detected, so an operator can go from
+    // a log line straight to a hexdump offset.
+    std::string path;       ///< offending trace file ("" = not file-bound)
+    uint64_t byteOffset = 0; ///< file offset nearest the failure
+    int64_t chunkIndex = -1; ///< chunk ordinal, -1 = not chunk-scoped
+
+    bool ok() const { return kind == Kind::NONE; }
+
+    /** Error anchored to a byte offset (and optionally a chunk). */
+    static TraceError
+    at(Kind kind, std::string msg, std::string file_path,
+       uint64_t byte_offset, int64_t chunk_index = -1)
+    {
+        TraceError err;
+        err.kind = kind;
+        err.message = std::move(msg);
+        err.path = std::move(file_path);
+        err.byteOffset = byte_offset;
+        err.chunkIndex = chunk_index;
+        return err;
+    }
+
+    /** One-line report: kind, message, and the diagnostic anchors. */
+    std::string describe() const;
+};
+
+const char *traceErrorKindName(TraceError::Kind kind);
+
+/**
+ * Session-level trace quarantine: a trace that failed *persistently*
+ * (a read error survived every retry) is registered here, and later
+ * TraceV3Source opens of the same path fail fast with QUARANTINED
+ * instead of re-paying the retry storm.  Transient faults that a retry
+ * recovered never quarantine.  Thread-safe; the registry is process
+ * wide and cleared explicitly (tests, campaign phase boundaries).
+ */
+bool traceQuarantined(const std::string &path);
+void quarantineTrace(const std::string &path);
+void clearTraceQuarantine();
+size_t traceQuarantineSize();
 
 /** v4 on-disk layout constants (tests corrupt fields by offset). */
 namespace v4 {
 
-constexpr uint32_t MAGIC = 0x52504c54;        // "RPLT" (shared sniff)
+constexpr uint32_t MAGIC = 0x52504c54;        // "RPLT"
 constexpr uint32_t VERSION = 4;
 constexpr uint32_t CHUNK_MAGIC = 0x344b4843;  // "CHK4"
 constexpr uint32_t FOOTER_MAGIC = 0x34465052; // "RPF4"
@@ -282,7 +353,7 @@ class TraceV3Source : public TraceSource
     const uint8_t *loadBytes(uint64_t offset, size_t len, size_t chunk);
     bool loadNextChunk();
     const TraceRecord *locate(uint64_t rec);
-    void recycleFront();
+    bool enterChunk();
 
     std::FILE *file_ = nullptr;
     std::string path_;
@@ -300,6 +371,12 @@ class TraceV3Source : public TraceSource
 
     std::vector<DecodedChunk> window_;  ///< decoded, front = oldest
     std::vector<std::vector<TraceRecord>> pool_;
+
+    // Read cursor: record consumed_ and the end of its run within the
+    // front window chunk (clipped to effTotal_); equal when the cursor
+    // must enter the next chunk.
+    const TraceRecord *cur_ = nullptr;
+    const TraceRecord *curEnd_ = nullptr;
 
     std::vector<uint8_t> ioBuf_;    ///< chunk staging (+ COMPACT_PAD)
     std::vector<uint8_t> rawBuf_;   ///< inflate scratch (+ COMPACT_PAD)
@@ -341,17 +418,6 @@ struct V3Info
 /** Read and validate header, footer, index and static table without
  *  touching chunk payloads. */
 V3Info inspectV3(const std::string &path);
-
-/**
- * Sniff the container version of @p path (4-byte magic + version
- * field) and open the matching TraceSource.  Sets @p err and returns
- * nullptr when the file is neither a v2 nor a v4 trace.  @p limit
- * caps the presented records for v4 (v2 has no cheap cap and reports
- * its full stream).
- */
-std::unique_ptr<TraceSource> openTraceFile(const std::string &path,
-                                           TraceError *err = nullptr,
-                                           uint64_t limit = 0);
 
 } // namespace replay::trace
 

@@ -14,16 +14,16 @@
 
 #include "fault/faultinjector.hh"
 #include "sim/simulator.hh"
-#include "trace/tracefile.hh"
+#include "trace/tracev3.hh"
 #include "trace/workload.hh"
 
 using namespace replay;
 using namespace replay::sim;
 using fault::FaultInjector;
 using timing::CycleBin;
-using trace::FileTraceSource;
 using trace::TraceError;
-using trace::TraceFileWriter;
+using trace::TraceV3Source;
+using trace::TraceV3Writer;
 
 namespace {
 
@@ -180,29 +180,43 @@ dumpTrace(const std::string &name, uint64_t insts,
 {
     const auto &w = trace::findWorkload(name);
     const std::string path =
-        ::testing::TempDir() + name + "." + tag + ".rplt";
-    TraceFileWriter::dumpProgram(w.buildProgram(0), insts, path);
+        ::testing::TempDir() + name + "." + tag + ".rpl3";
+    trace::V3Options opts;
+    opts.chunkRecords = 256;
+    TraceV3Writer::dumpProgram(w.buildProgram(0), insts, path, opts);
     return path;
+}
+
+/** Flip one byte inside chunk @p k's payload; returns that chunk. */
+trace::V3Info::Chunk
+flipChunkPayload(const std::string &path, size_t k)
+{
+    const trace::V3Info info = trace::inspectV3(path);
+    EXPECT_TRUE(info.ok()) << info.error.describe();
+    EXPECT_LT(k, info.chunks.size());
+    const trace::V3Info::Chunk chunk = info.chunks.at(k);
+    EXPECT_TRUE(FaultInjector::flipByteAt(
+        path, chunk.offset + trace::v4::CHUNK_HEADER_BYTES +
+                  chunk.payloadBytes / 2));
+    return chunk;
 }
 
 } // namespace
 
 TEST(TraceRobustness, TruncatedFileYieldsValidPrefix)
 {
+    // Cutting a v4 file loses its footer, so the container is refused
+    // at open: the valid prefix is empty.
     const std::string path = dumpTrace("gzip", 2000, "trunc");
     const uint64_t size = std::filesystem::file_size(path);
     ASSERT_TRUE(FaultInjector::truncateFile(path, size - 7));
 
-    FileTraceSource src(path);
-    EXPECT_TRUE(src.ok());      // header intact; error surfaces later
-    uint64_t n = 0;
-    while (!src.done()) {
-        ASSERT_NE(src.peek(), nullptr);
-        src.advance();
-        ++n;
-    }
-    EXPECT_EQ(n, 1999u);
+    TraceV3Source src(path);
+    EXPECT_FALSE(src.ok());
     EXPECT_EQ(src.error().kind, TraceError::Kind::TRUNCATED);
+    EXPECT_TRUE(src.done());
+    EXPECT_EQ(src.peek(), nullptr);
+    EXPECT_EQ(src.consumed(), 0u);
 }
 
 TEST(TraceRobustness, SimulatorCompletesOnTruncatedTrace)
@@ -211,22 +225,22 @@ TEST(TraceRobustness, SimulatorCompletesOnTruncatedTrace)
     const uint64_t size = std::filesystem::file_size(path);
     ASSERT_TRUE(FaultInjector::truncateFile(path, size / 2));
 
-    FileTraceSource src(path);
+    TraceV3Source src(path);
     SimConfig cfg = SimConfig::make(Machine::RPO);
     const RunStats stats = simulateTrace(cfg, src, "gzip");
-    EXPECT_GT(stats.x86Retired, 0u);
-    EXPECT_LT(stats.x86Retired, 3000u);
+    EXPECT_EQ(src.error().kind, TraceError::Kind::TRUNCATED);
+    EXPECT_EQ(stats.x86Retired, 0u);
     EXPECT_EQ(stats.x86Retired, src.consumed());
 }
 
 TEST(TraceRobustness, GarbageFileIsEmptyWithBadMagic)
 {
-    const std::string path = ::testing::TempDir() + "garbage.rplt";
+    const std::string path = ::testing::TempDir() + "garbage.rpl3";
     {
         std::ofstream out(path, std::ios::binary);
         out << "this is not a trace file at all, not even close";
     }
-    FileTraceSource src(path);
+    TraceV3Source src(path);
     EXPECT_FALSE(src.ok());
     EXPECT_EQ(src.error().kind, TraceError::Kind::BAD_MAGIC);
     EXPECT_TRUE(src.done());
@@ -235,7 +249,7 @@ TEST(TraceRobustness, GarbageFileIsEmptyWithBadMagic)
 
 TEST(TraceRobustness, MissingFileReportsOpenFailure)
 {
-    FileTraceSource src(::testing::TempDir() + "does-not-exist.rplt");
+    TraceV3Source src(::testing::TempDir() + "does-not-exist.rpl3");
     EXPECT_FALSE(src.ok());
     EXPECT_EQ(src.error().kind, TraceError::Kind::OPEN_FAILED);
     EXPECT_TRUE(src.done());
@@ -244,29 +258,42 @@ TEST(TraceRobustness, MissingFileReportsOpenFailure)
 TEST(TraceRobustness, BitFlippedRecordCaughtByChecksum)
 {
     const std::string path = dumpTrace("gzip", 1000, "flip");
-    // Skip the 20-byte header so the damage lands in record payloads.
-    const unsigned flipped =
-        FaultInjector::corruptFileBytes(path, 42, 0.0005, 20);
-    ASSERT_GT(flipped, 0u);
+    const trace::V3Info::Chunk chunk = flipChunkPayload(path, 2);
+    ASSERT_GT(chunk.firstRecord, 0u);
 
-    FileTraceSource src(path);
-    EXPECT_TRUE(src.ok());
+    TraceV3Source src(path);
+    EXPECT_TRUE(src.ok());      // header and index intact
     uint64_t n = 0;
     while (!src.done()) {
         src.advance();
         ++n;
     }
-    EXPECT_LT(n, 1000u);
+    EXPECT_EQ(n, chunk.firstRecord);
     EXPECT_EQ(src.error().kind, TraceError::Kind::BAD_CHECKSUM);
+    EXPECT_EQ(src.error().chunkIndex, 2);
+}
+
+TEST(TraceRobustness, SimulatorCompletesOnCorruptedTrace)
+{
+    const std::string path = dumpTrace("gzip", 3000, "simflip");
+    const trace::V3Info::Chunk chunk = flipChunkPayload(path, 5);
+
+    TraceV3Source src(path);
+    SimConfig cfg = SimConfig::make(Machine::RPO);
+    const RunStats stats = simulateTrace(cfg, src, "gzip");
+    EXPECT_EQ(src.error().kind, TraceError::Kind::BAD_CHECKSUM);
+    EXPECT_EQ(stats.x86Retired, chunk.firstRecord);
+    EXPECT_EQ(stats.x86Retired, src.consumed());
 }
 
 TEST(TraceRobustness, WriterSurfacesOpenFailure)
 {
-    TraceFileWriter writer(::testing::TempDir() +
-                           "no-such-dir/x/y/z.rplt");
+    TraceV3Writer writer(::testing::TempDir() +
+                         "no-such-dir/x/y/z.rpl3");
     EXPECT_FALSE(writer.ok());
     EXPECT_EQ(writer.error().kind, TraceError::Kind::OPEN_FAILED);
     writer.write(trace::TraceRecord{});      // must be a safe no-op
+    EXPECT_EQ(writer.written(), 0u);
     const TraceError err = writer.close();
     EXPECT_EQ(err.kind, TraceError::Kind::OPEN_FAILED);
 }
@@ -274,9 +301,9 @@ TEST(TraceRobustness, WriterSurfacesOpenFailure)
 TEST(TraceRobustness, WriterRoundTripReportsNoError)
 {
     const auto &w = trace::findWorkload("bzip2");
-    const std::string path = ::testing::TempDir() + "clean.rplt";
-    TraceFileWriter::dumpProgram(w.buildProgram(0), 500, path);
-    FileTraceSource src(path);
+    const std::string path = ::testing::TempDir() + "clean.rpl3";
+    TraceV3Writer::dumpProgram(w.buildProgram(0), 500, path);
+    TraceV3Source src(path);
     EXPECT_TRUE(src.ok());
     EXPECT_EQ(src.totalRecords(), 500u);
     uint64_t n = 0;

@@ -270,7 +270,7 @@ TEST(Runner, EnvInstsParsedStrictly)
     EXPECT_GT(defaultInstsPerTrace(), 0u);
 }
 
-#include "trace/tracefile.hh"
+#include "trace/tracev3.hh"
 
 TEST(Simulator, FileTraceMatchesLiveTrace)
 {
@@ -278,14 +278,14 @@ TEST(Simulator, FileTraceMatchesLiveTrace)
     // results to simulating from the live executor stream.
     const auto &w = trace::findWorkload("twolf");
     const auto prog = w.buildProgram(0);
-    const std::string path = ::testing::TempDir() + "twolf.rplt";
-    trace::TraceFileWriter::dumpProgram(prog, 80000, path);
+    const std::string path = ::testing::TempDir() + "twolf.rpl3";
+    trace::TraceV3Writer::dumpProgram(prog, 80000, path);
 
     auto cfg = SimConfig::make(Machine::RPO);
     trace::ExecutorTraceSource live(prog, 80000);
     const auto live_stats = simulateTrace(cfg, live, "twolf");
 
-    trace::FileTraceSource filed(path);
+    trace::TraceV3Source filed(path);
     const auto file_stats = simulateTrace(cfg, filed, "twolf");
 
     EXPECT_EQ(live_stats.cycles(), file_stats.cycles());

@@ -224,7 +224,23 @@ TEST(Workloads, DesktopCodeFootprintExceedsSpec)
 // Trace-file serialization
 // ---------------------------------------------------------------------
 
-#include "trace/tracefile.hh"
+#include "trace/tracev3.hh"
+
+namespace {
+
+/** Record @p insts of @p prog to a v4 file of @p chunk-record chunks. */
+std::string
+dumpV4(const x86::Program &prog, uint64_t insts, const std::string &name,
+       uint32_t chunk = V3Options{}.chunkRecords)
+{
+    const std::string path = ::testing::TempDir() + name;
+    V3Options opts;
+    opts.chunkRecords = chunk;
+    TraceV3Writer::dumpProgram(prog, insts, path, opts);
+    return path;
+}
+
+} // namespace
 
 TEST(TraceFile, RoundTripPreservesEveryField)
 {
@@ -232,10 +248,7 @@ TEST(TraceFile, RoundTripPreservesEveryField)
     const x86::Program prog = w.buildProgram(0);
     const auto reference = collectTrace(prog, 3000);
 
-    const std::string path = ::testing::TempDir() + "eon.rplt";
-    TraceFileWriter::dumpProgram(prog, 3000, path);
-
-    FileTraceSource src(path);
+    TraceV3Source src(dumpV4(prog, 3000, "eon.rpl3"));
     EXPECT_EQ(src.totalRecords(), 3000u);
     for (const auto &want : reference) {
         const TraceRecord *got = src.peek();
@@ -265,12 +278,11 @@ TEST(TraceFile, RoundTripPreservesEveryField)
 
 TEST(TraceFile, LookaheadAcrossFileBuffer)
 {
+    // 64-record chunks: a 400-deep peek window spans seven chunks, all
+    // decoded ahead of the read cursor.
     const Workload &w = findWorkload("gzip");
     const x86::Program prog = w.buildProgram(0);
-    const std::string path = ::testing::TempDir() + "gzip.rplt";
-    TraceFileWriter::dumpProgram(prog, 2000, path);
-
-    FileTraceSource src(path);
+    TraceV3Source src(dumpV4(prog, 2000, "gzip.rpl3", 64));
     std::vector<uint32_t> ahead;
     for (unsigned k = 0; k < 400; ++k)
         ahead.push_back(src.peek(k)->pc);
@@ -282,141 +294,43 @@ TEST(TraceFile, LookaheadAcrossFileBuffer)
 
 TEST(TraceFile, RingWraparoundDeliversIdenticalStream)
 {
-    // Stream enough records to wrap the lookahead ring several times
-    // (ring = 2 x LOOKAHEAD entries) while the batched block reader
-    // refills it, with deep peeks pinned across every wrap point.  The
-    // delivered stream must be byte-for-byte what a fresh executor
-    // produces.
+    // Stream several lookahead windows' worth of records through chunk
+    // sizes below and above TraceSource::LOOKAHEAD, peeking at a
+    // different depth at every record (up to LOOKAHEAD - 1, across
+    // several chunk boundaries) while the read cursor walks each
+    // chunk.  Every peek must agree with what a fresh executor
+    // delivers at the same depth.
     const Workload &w = findWorkload("crafty");
     const x86::Program prog = w.buildProgram(0);
     const uint64_t total = uint64_t(TraceSource::LOOKAHEAD) * 7 + 123;
-    const std::string path = ::testing::TempDir() + "crafty_wrap.rplt";
-    TraceFileWriter::dumpProgram(prog, total, path);
-
-    ExecutorTraceSource ref(prog, total);
-    FileTraceSource src(path);
-    uint64_t n = 0;
-    while (!ref.done()) {
-        ASSERT_FALSE(src.done()) << "file stream ended early at " << n;
-        const TraceRecord *got = src.peek();
-        const TraceRecord *want = ref.peek();
-        ASSERT_NE(got, nullptr);
-        EXPECT_EQ(got->pc, want->pc) << "record " << n;
-        EXPECT_EQ(got->nextPc, want->nextPc) << "record " << n;
-        EXPECT_EQ(got->numMemOps, want->numMemOps) << "record " << n;
-        // Deep peek across the upcoming ring boundary: must agree with
-        // what advance() later delivers, despite batched refills.
-        if ((n % (TraceSource::LOOKAHEAD / 2)) == 0) {
-            const TraceRecord *far = src.peek(TraceSource::LOOKAHEAD - 1);
-            const TraceRecord *far_ref = ref.peek(TraceSource::LOOKAHEAD - 1);
-            ASSERT_EQ(far == nullptr, far_ref == nullptr);
+    for (const uint32_t chunk : {64u, 100u, 1000u}) {
+        SCOPED_TRACE("chunk " + std::to_string(chunk));
+        ExecutorTraceSource ref(prog, total);
+        TraceV3Source src(dumpV4(prog, total, "crafty_wrap.rpl3", chunk));
+        uint64_t n = 0;
+        while (!ref.done()) {
+            ASSERT_FALSE(src.done()) << "file stream ended early at " << n;
+            const TraceRecord *got = src.peek();
+            const TraceRecord *want = ref.peek();
+            ASSERT_NE(got, nullptr);
+            EXPECT_EQ(got->pc, want->pc) << "record " << n;
+            EXPECT_EQ(got->nextPc, want->nextPc) << "record " << n;
+            EXPECT_EQ(got->numMemOps, want->numMemOps) << "record " << n;
+            const unsigned depth =
+                unsigned((n * 37) % TraceSource::LOOKAHEAD);
+            const TraceRecord *far = src.peek(depth);
+            const TraceRecord *far_ref = ref.peek(depth);
+            ASSERT_EQ(far == nullptr, far_ref == nullptr) << "record " << n;
             if (far) {
-                EXPECT_EQ(far->pc, far_ref->pc) << "deep peek at " << n;
+                EXPECT_EQ(far->pc, far_ref->pc)
+                    << "peek(" << depth << ") at " << n;
             }
+            src.advance();
+            ref.advance();
+            ++n;
         }
-        src.advance();
-        ref.advance();
-        ++n;
+        EXPECT_TRUE(src.done());
+        EXPECT_EQ(n, total);
+        EXPECT_TRUE(src.ok());
     }
-    EXPECT_TRUE(src.done());
-    EXPECT_EQ(n, total);
-    EXPECT_TRUE(src.ok());
-}
-
-// ---------------------------------------------------------------------
-// Batched-read fault recovery: ferror is transient (retry), feof is
-// truncation, persistence quarantines the path for the session.
-// ---------------------------------------------------------------------
-
-#include <filesystem>
-
-#include "fault/faultinjector.hh"
-#include "util/rng.hh"
-
-namespace {
-
-/** Write a small pristine trace; returns its path. */
-std::string
-writeTrace(const char *name, uint64_t records)
-{
-    const Workload &w = findWorkload("gzip");
-    const std::string path = ::testing::TempDir() + name;
-    TraceFileWriter::dumpProgram(w.buildProgram(0), records, path);
-    return path;
-}
-
-} // namespace
-
-TEST(TraceFileFaults, TransientFaultsRetriedToFullStream)
-{
-    clearTraceQuarantine();
-    const std::string path = writeTrace("transient.rplt", 1500);
-
-    // Fault ~15% of batched read attempts: every one must be absorbed
-    // by the bounded retry (aborting needs MAX_READ_RETRIES + 1
-    // consecutive hits, vanishingly unlikely in this seeded stream),
-    // delivering the identical full stream.
-    FileTraceSource src(path);
-    Rng rng(42);
-    src.setIoFaultInjector([&rng] { return rng.chance(0.15); });
-    uint64_t n = 0;
-    while (!src.done()) {
-        src.advance();
-        ++n;
-    }
-    EXPECT_TRUE(src.ok())
-        << traceErrorKindName(src.error().kind) << ": "
-        << src.error().message;
-    EXPECT_EQ(n, 1500u);
-    EXPECT_GT(src.ioRetries(), 0u);
-    // A recovered trace is NOT quarantined.
-    EXPECT_FALSE(traceQuarantined(path));
-}
-
-TEST(TraceFileFaults, PersistentFaultReadsErrorAndQuarantines)
-{
-    clearTraceQuarantine();
-    const std::string path = writeTrace("persistent.rplt", 800);
-
-    FileTraceSource src(path);
-    src.setIoFaultInjector([] { return true; });
-    while (!src.done())
-        src.advance();
-    EXPECT_EQ(src.error().kind, TraceError::Kind::READ_ERROR);
-    EXPECT_EQ(src.ioRetries(), FileTraceSource::MAX_READ_RETRIES);
-    EXPECT_TRUE(traceQuarantined(path));
-    EXPECT_EQ(traceQuarantineSize(), 1u);
-
-    // Session quarantine: the next open fails fast, no I/O retries.
-    FileTraceSource again(path);
-    EXPECT_EQ(again.error().kind, TraceError::Kind::QUARANTINED);
-    EXPECT_TRUE(again.done());
-    EXPECT_EQ(again.ioRetries(), 0u);
-
-    clearTraceQuarantine();
-    FileTraceSource clean(path);
-    EXPECT_TRUE(clean.ok());
-}
-
-TEST(TraceFileFaults, TruncationIsNotMistakenForReadError)
-{
-    clearTraceQuarantine();
-    const std::string path = writeTrace("truncated.rplt", 600);
-
-    // Chop mid-record: an honest feof short-read must surface as
-    // TRUNCATED (valid prefix delivered), never as the retriable
-    // READ_ERROR — and must not waste retries or quarantine the path.
-    const auto size = std::filesystem::file_size(path);
-    ASSERT_TRUE(fault::FaultInjector::truncateFile(path, size / 2 + 7));
-    FileTraceSource src(path);
-    uint64_t n = 0;
-    while (!src.done()) {
-        src.advance();
-        ++n;
-    }
-    EXPECT_EQ(src.error().kind, TraceError::Kind::TRUNCATED);
-    EXPECT_GT(n, 0u);
-    EXPECT_LT(n, 600u);
-    EXPECT_EQ(src.ioRetries(), 0u);
-    EXPECT_FALSE(traceQuarantined(path));
 }

@@ -13,8 +13,7 @@
  *
  *  - Round-trip properties: every record decodes bit-identical to the
  *    recorded one — every workload and hot spot through both codecs,
- *    a v2 container converted to v4, and a hand-built stream of the
- *    compact codec's edge cases.
+ *    and a hand-built stream of the compact codec's edge cases.
  *
  *  - Seek/resume: seekToRecord() agrees with sequential replay at
  *    chunk boundaries, mid-chunk, EOF and past-EOF, including after a
@@ -33,7 +32,6 @@
 #include "fault/faultinjector.hh"
 #include "trace/chunk.hh"
 #include "trace/corpus.hh"
-#include "trace/tracefile.hh"
 #include "trace/tracer.hh"
 #include "trace/tracev3.hh"
 #include "trace/workload.hh"
@@ -136,23 +134,6 @@ expectIdenticalStreams(TraceSource &got_src, TraceSource &want_src)
         ++n;
     }
     EXPECT_TRUE(got_src.done()) << "stream has extra records past " << n;
-}
-
-/** Copy a v2 container's records into a fresh v3 container. */
-void
-convertV2ToV3(const std::string &v2_path, const std::string &v3_path,
-              V3Options opts = {})
-{
-    FileTraceSource in(v2_path);
-    ASSERT_TRUE(in.ok()) << in.error().describe();
-    TraceV3Writer out(v3_path, opts);
-    while (!in.done()) {
-        out.write(*in.peek());
-        in.advance();
-    }
-    ASSERT_TRUE(in.ok()) << in.error().describe();
-    const TraceError err = out.close();
-    ASSERT_TRUE(err.ok()) << err.describe();
 }
 
 } // namespace
@@ -636,27 +617,20 @@ TEST(TraceV3RoundTrip, WriterReaderPreserveEveryField)
     EXPECT_TRUE(src.ok());
 }
 
-TEST(TraceV3RoundTrip, ConvertedV2IsIdenticalForAllFourteenWorkloads)
+TEST(TraceV3RoundTrip, RecordedDigestMatchesLiveForAllFourteenWorkloads)
 {
     const uint64_t N = 1200;
     for (const Workload &w : standardWorkloads()) {
         SCOPED_TRACE(w.name);
         const x86::Program prog = w.buildProgram(0);
-        const std::string v2_path =
-            ::testing::TempDir() + w.name + ".rplt";
         const std::string v3_path =
             ::testing::TempDir() + w.name + ".rpl3";
-        TraceFileWriter::dumpProgram(prog, N, v2_path);
-        convertV2ToV3(v2_path, v3_path);
+        TraceV3Writer::dumpProgram(prog, N, v3_path);
 
-        // The container-independent stream digest ties all three
-        // representations together: live synthesis, v2, converted v3.
+        // The stream digest ties the recording to live synthesis —
+        // what a corpus manifest pins.
         ExecutorTraceSource live(prog, N);
         const uint64_t want = wire::streamDigest(live);
-
-        FileTraceSource v2(v2_path);
-        EXPECT_EQ(wire::streamDigest(v2), want);
-        ASSERT_TRUE(v2.ok());
 
         clearTraceQuarantine();
         TraceV3Source v3src(v3_path);
@@ -932,49 +906,56 @@ TEST(TraceV3RoundTrip, LimitRecordsCapsThePresentedStream)
     EXPECT_EQ(src.consumed(), 700u);
 }
 
-TEST(TraceV3Open, SniffDispatchesV2AndV3AndRejectsGarbage)
+TEST(TraceV3Open, OtherVersionsAndJunkAreRefusedTyped)
 {
     const Workload &w = findWorkload("twolf");
-    const x86::Program prog = w.buildProgram(0);
-    const uint64_t N = 800;
-    ExecutorTraceSource live(prog, N);
-    const uint64_t want = wire::streamDigest(live);
+    const std::string path = ::testing::TempDir() + "versions.rpl3";
+    TraceV3Writer::dumpProgram(w.buildProgram(0), 800, path);
+    const std::vector<uint8_t> pristine = slurp(path);
 
-    const std::string v2_path = ::testing::TempDir() + "sniff.rplt";
-    TraceFileWriter::dumpProgram(prog, N, v2_path);
-    const std::string v3_path = ::testing::TempDir() + "sniff.rpl3";
-    TraceV3Writer::dumpProgram(prog, N, v3_path);
-
+    // A version-2 (retired flat stream) or version-3 (earlier chunked
+    // layout) header is refused at open, not misread as v4.
     clearTraceQuarantine();
-    TraceError err;
-    auto v2 = openTraceFile(v2_path, &err);
-    ASSERT_NE(v2, nullptr) << err.describe();
-    EXPECT_EQ(wire::streamDigest(*v2), want);
+    for (const uint32_t version : {2u, 3u, 5u}) {
+        SCOPED_TRACE("version " + std::to_string(version));
+        std::vector<uint8_t> bytes = pristine;
+        wire::store32(bytes.data() + v4::HDR_OFF_VERSION, version);
+        const std::string old_path = ::testing::TempDir() + "old.rpl3";
+        spit(old_path, bytes);
+        TraceV3Source src(old_path);
+        EXPECT_EQ(src.error().kind, Kind::BAD_VERSION);
+        EXPECT_EQ(src.error().byteOffset, v4::HDR_OFF_VERSION);
+        EXPECT_TRUE(src.done());
+    }
 
-    auto v3src = openTraceFile(v3_path, &err);
-    ASSERT_NE(v3src, nullptr) << err.describe();
-    EXPECT_EQ(wire::streamDigest(*v3src), want);
+    // A whole v2 flat stream as its writer laid it out: a 20-byte
+    // header (magic, version, record size, record count), then
+    // checksum-prefixed fixed-size records.
+    std::vector<uint8_t> flat(20 + 10 * (4 + wire::recordWireBytes()));
+    wire::store32(flat.data(), v4::MAGIC);
+    wire::store32(flat.data() + 4, 2);
+    wire::store32(flat.data() + 8, uint32_t(wire::recordWireBytes()));
+    wire::store32(flat.data() + 12, 10);
+    const std::string flat_path = ::testing::TempDir() + "flat_v2.bin";
+    spit(flat_path, flat);
+    TraceV3Source v2(flat_path);
+    EXPECT_EQ(v2.error().kind, Kind::BAD_VERSION);
+    EXPECT_TRUE(v2.done());
 
-    // The v3 limit plumbs through the sniffing opener.
-    auto capped = openTraceFile(v3_path, &err, 300);
-    ASSERT_NE(capped, nullptr);
-    ExecutorTraceSource head(prog, 300);
-    EXPECT_EQ(wire::streamDigest(*capped), wire::streamDigest(head));
-
-    // Earlier chunked-container versions are refused, not misread.
-    std::vector<uint8_t> old_version = slurp(v3_path);
-    wire::store32(old_version.data() + v4::HDR_OFF_VERSION, 3);
-    const std::string old_path = ::testing::TempDir() + "sniff_old.rpl3";
-    spit(old_path, old_version);
-    EXPECT_EQ(openTraceFile(old_path, &err), nullptr);
-    EXPECT_EQ(err.kind, Kind::BAD_VERSION);
-
+    // Junk: too short for a header, or header-sized without the magic.
     const std::string junk = ::testing::TempDir() + "junk.bin";
     spit(junk, {'h', 'e', 'l', 'l', 'o', ' ', 'f', 's'});
-    auto bad = openTraceFile(junk, &err);
-    EXPECT_EQ(bad, nullptr);
-    EXPECT_EQ(err.kind, Kind::BAD_MAGIC);
-    EXPECT_EQ(err.path, junk);
+    TraceV3Source tiny(junk);
+    EXPECT_EQ(tiny.error().kind, Kind::SHORT_HEADER);
+    EXPECT_EQ(tiny.error().path, junk);
+    EXPECT_TRUE(tiny.done());
+
+    spit(junk, std::vector<uint8_t>(v4::HEADER_BYTES + v4::FOOTER_BYTES,
+                                    'x'));
+    TraceV3Source bad(junk);
+    EXPECT_EQ(bad.error().kind, Kind::BAD_MAGIC);
+    EXPECT_EQ(bad.error().path, junk);
+    EXPECT_TRUE(bad.done());
 }
 
 TEST(TraceV3Inspect, IndexTilesTheFileExactly)
@@ -1225,7 +1206,7 @@ TEST(TraceV3Seek, ResumesAfterTransientFaultAtChunkBoundary)
 }
 
 // ---------------------------------------------------------------------
-// Fault injection: transient retry, persistent quarantine (v2 parity)
+// Fault injection: transient retry, persistent quarantine
 // ---------------------------------------------------------------------
 
 TEST(TraceV3Faults, TransientFaultsRetriedToFullStream)
@@ -1280,8 +1261,8 @@ TEST(TraceV3Faults, PersistentFaultReadsErrorAndQuarantines)
 }
 
 // ---------------------------------------------------------------------
-// TraceError diagnostics: path + byte offset + chunk index (v3), path +
-// byte offset (v2), and the describe() rendering of all three.
+// TraceError diagnostics: path + byte offset + chunk index, and their
+// describe() rendering.
 // ---------------------------------------------------------------------
 
 TEST(TraceV3Diagnostics, ErrorsCarryPathOffsetAndChunk)
@@ -1316,32 +1297,6 @@ TEST(TraceV3Diagnostics, ErrorsCarryPathOffsetAndChunk)
               std::string::npos)
         << text;
     EXPECT_NE(text.find("chunk 1"), std::string::npos) << text;
-}
-
-TEST(TraceV3Diagnostics, V2ErrorsCarryPathAndByteOffset)
-{
-    clearTraceQuarantine();
-    const Workload &w = findWorkload("gzip");
-    const std::string path = ::testing::TempDir() + "diag.rplt";
-    TraceFileWriter::dumpProgram(w.buildProgram(0), 600, path);
-    const auto size = std::filesystem::file_size(path);
-    ASSERT_TRUE(FaultInjector::truncateFile(path, size / 2 + 7));
-
-    FileTraceSource src(path);
-    while (!src.done())
-        src.advance();
-    const TraceError &err = src.error();
-    EXPECT_EQ(err.kind, Kind::TRUNCATED);
-    EXPECT_EQ(err.path, path);
-    // v2 layout: 20-byte header, then (4-byte guard + record) each.
-    const uint64_t per_record = 4 + wire::recordWireBytes();
-    EXPECT_EQ(err.byteOffset, 20 + src.produced() * per_record);
-    EXPECT_EQ(err.chunkIndex, -1) << "v2 errors are not chunk-scoped";
-
-    const std::string text = err.describe();
-    EXPECT_NE(text.find(path), std::string::npos) << text;
-    EXPECT_NE(text.find("@byte"), std::string::npos) << text;
-    EXPECT_EQ(text.find("chunk"), std::string::npos) << text;
 }
 
 // ---------------------------------------------------------------------

@@ -177,12 +177,12 @@ TEST(Logging, PanicReportsFileLineAndMessage)
 TEST(Logging, FatalReportsFileLineAndMessage)
 {
     DeathHandler prev = setDeathHandler(throwingHandler);
-    EXPECT_THROW(fatal("cannot open '%s'", "trace.rplt"),
+    EXPECT_THROW(fatal("cannot open '%s'", "trace.rpl3"),
                  std::runtime_error);
     setDeathHandler(prev);
 
     EXPECT_EQ(lastDeath.kind, "fatal");
-    EXPECT_EQ(lastDeath.message, "cannot open 'trace.rplt'");
+    EXPECT_EQ(lastDeath.message, "cannot open 'trace.rpl3'");
 }
 
 TEST(Logging, GuardMacrosFireOnlyWhenConditionHolds)

@@ -56,7 +56,7 @@
 #include "fault/faultinjector.hh"
 #include "sim/simulator.hh"
 #include "sim/sweep.hh"
-#include "trace/tracefile.hh"
+#include "trace/tracev3.hh"
 #include "trace/workload.hh"
 #include "util/cancellation.hh"
 #include "util/rng.hh"
@@ -165,32 +165,9 @@ phaseEngineSoak(const Options &opt)
                 completed, opt.seeds);
 }
 
-/** Byte-for-byte file copy via stdio (keeps the tool dependency-free). */
-bool
-copyFile(const std::string &from, const std::string &to)
-{
-    std::FILE *in = std::fopen(from.c_str(), "rb");
-    if (!in)
-        return false;
-    std::FILE *out = std::fopen(to.c_str(), "wb");
-    if (!out) {
-        std::fclose(in);
-        return false;
-    }
-    uint8_t buf[4096];
-    size_t n;
-    bool ok = true;
-    while ((n = std::fread(buf, 1, sizeof(buf), in)) > 0)
-        ok = ok && std::fwrite(buf, 1, n, out) == n;
-    ok = !std::ferror(in) && ok;
-    std::fclose(in);
-    ok = std::fclose(out) == 0 && ok;
-    return ok;
-}
-
 /** Drain a trace source; returns records delivered. */
 uint64_t
-drain(trace::FileTraceSource &src)
+drain(trace::TraceSource &src)
 {
     uint64_t n = 0;
     while (!src.done()) {
@@ -208,29 +185,39 @@ phaseIoSoak(const Options &opt)
         fs::temp_directory_path() /
         ("chaosrunner-" + std::to_string(unsigned(::getpid())));
     fs::create_directories(dir);
-    const std::string pristine = (dir / "pristine.trace").string();
+    const std::string pristine = (dir / "pristine.rpl3").string();
 
+    // Small chunks, so every drain makes several chunk loads for the
+    // injector to fail and a flip can land in any of them.
     const auto &workload = trace::standardWorkloads().front();
     const uint64_t records = 2000;
-    trace::TraceFileWriter::dumpProgram(workload.buildProgram(0),
-                                        records, pristine);
+    trace::V3Options v4opts;
+    v4opts.chunkRecords = 200;
+    trace::TraceV3Writer::dumpProgram(workload.buildProgram(0), records,
+                                      pristine, v4opts);
+    const trace::V3Info layout = trace::inspectV3(pristine);
+    check(layout.ok() && layout.chunks.size() > 1, "io",
+          "pristine trace has no multi-chunk layout");
     trace::clearTraceQuarantine();
 
     unsigned transient_ok = 0, detected = 0;
-    for (unsigned seed = 0; seed < opt.seeds; ++seed) {
+    for (unsigned seed = 0; seed < opt.seeds && layout.ok(); ++seed) {
         const std::string path =
-            (dir / ("seed" + std::to_string(seed) + ".trace")).string();
-        if (!copyFile(pristine, path)) {
+            (dir / ("seed" + std::to_string(seed) + ".rpl3")).string();
+        std::error_code ec;
+        fs::copy_file(pristine, path,
+                      fs::copy_options::overwrite_existing, ec);
+        if (ec) {
             check(false, "io", "cannot stage " + path);
             continue;
         }
         switch (seed % 3) {
           case 0: {
             // Transient faults: seeded injector fires on ~10% of
-            // batched read attempts; bounded retries must deliver the
+            // chunk-load attempts; bounded retries must deliver the
             // whole stream with no error (aborting needs 4 hits in a
             // row — odds well under 1% across the campaign).
-            trace::FileTraceSource src(path);
+            trace::TraceV3Source src(path);
             Rng rng(1000 + seed);
             src.setIoFaultInjector([&rng] { return rng.chance(0.1); });
             const uint64_t got = drain(src);
@@ -245,30 +232,36 @@ phaseIoSoak(const Options &opt)
             break;
           }
           case 1: {
-            // Payload corruption → BAD_CHECKSUM after a valid prefix.
-            fault::FaultInjector::corruptFileBytes(path, 2000 + seed,
-                                                   0.001, 20);
-            trace::FileTraceSource src(path);
+            // A flipped byte inside chunk k's payload → BAD_CHECKSUM
+            // after exactly the chunks before it.
+            Rng rng(2000 + seed);
+            const auto &chunk =
+                layout.chunks[rng.below(layout.chunks.size())];
+            fault::FaultInjector::flipByteAt(
+                path, chunk.offset + trace::v4::CHUNK_HEADER_BYTES +
+                          rng.below(chunk.payloadBytes));
+            trace::TraceV3Source src(path);
             const uint64_t got = drain(src);
             const auto kind = src.error().kind;
-            check(src.ok() || got <= records, "io",
-                  "seed " + std::to_string(seed) + ": bad record count");
-            check(kind == trace::TraceError::Kind::NONE ||
-                      kind == trace::TraceError::Kind::BAD_CHECKSUM,
-                  "io",
+            check(kind == trace::TraceError::Kind::BAD_CHECKSUM, "io",
                   "seed " + std::to_string(seed) +
                       ": corruption surfaced as " +
                       trace::traceErrorKindName(kind));
+            check(got == chunk.firstRecord, "io",
+                  "seed " + std::to_string(seed) + ": delivered " +
+                      std::to_string(got) + " records, expected the " +
+                      std::to_string(chunk.firstRecord) +
+                      "-record prefix");
             if (kind == trace::TraceError::Kind::BAD_CHECKSUM)
                 ++detected;
             break;
           }
           case 2: {
-            // Truncation (honest feof) must still read TRUNCATED —
+            // Truncation (honest end of file) must read TRUNCATED —
             // never the retriable READ_ERROR.
             fault::FaultInjector::truncateFile(
                 path, fs::file_size(path) / 2 + 7);
-            trace::FileTraceSource src(path);
+            trace::TraceV3Source src(path);
             drain(src);
             check(src.error().kind ==
                       trace::TraceError::Kind::TRUNCATED,
@@ -288,15 +281,17 @@ phaseIoSoak(const Options &opt)
     // exhaust, the source fails with READ_ERROR, and the path is
     // session-quarantined; the next open fails fast.
     {
-        const std::string path = (dir / "persistent.trace").string();
-        copyFile(pristine, path);
-        trace::FileTraceSource src(path);
+        const std::string path = (dir / "persistent.rpl3").string();
+        std::error_code ec;
+        fs::copy_file(pristine, path,
+                      fs::copy_options::overwrite_existing, ec);
+        trace::TraceV3Source src(path);
         src.setIoFaultInjector([] { return true; });
         drain(src);
         check(src.error().kind == trace::TraceError::Kind::READ_ERROR,
               "io", std::string("persistent fault surfaced as ") +
                         trace::traceErrorKindName(src.error().kind));
-        trace::FileTraceSource again(path);
+        trace::TraceV3Source again(path);
         check(again.error().kind ==
                   trace::TraceError::Kind::QUARANTINED,
               "io", "persistently bad trace was not quarantined");

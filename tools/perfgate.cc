@@ -35,7 +35,6 @@
 #include "opt/optimizer.hh"
 #include "sim/sweep.hh"
 #include "trace/chunk.hh"
-#include "trace/tracefile.hh"
 #include "trace/tracer.hh"
 #include "trace/tracev3.hh"
 #include "trace/workload.hh"
@@ -151,9 +150,8 @@ runOptimizerPass(const std::vector<trace::TraceRecord> &records,
 
 /**
  * v4 ingest bandwidth (decoded canonical record bytes per second) over
- * a RAW container of the harvested records.  RAW is the configuration
- * the >=2x-over-v2 design claim is made for (see bench_trace_ingest
- * for the full v2/v4 comparison table).
+ * a RAW container of the harvested records: the chunk read and compact
+ * decode alone, with no inflate.  This is the gate on v4 ingest speed.
  */
 void
 runIngestPass(const std::vector<trace::TraceRecord> &records,

@@ -6,7 +6,8 @@
  * simulator:
  *
  *   record <workload> <hotspot> <insts> <out>   synthesize + record v4
- *   convert <in> <out>                          v2 or v4 → v4 (recode)
+ *   convert <in> <out>                          v4 → v4 (re-encode with
+ *                                               another codec/chunk size)
  *   verify <file...>                            full read + digest
  *   inspect <file...>                           geometry, static table,
  *                                               bytes per record
@@ -16,7 +17,7 @@
  *   corpus-verify <manifest>                    re-digest every entry
  *
  * Shared flags for writers: --codec raw|zlib, --chunk N (records per
- * chunk), --v2 (record/convert to the legacy flat container instead).
+ * chunk).
  *
  * verify and corpus-verify exit non-zero on the first mismatch, so
  * they are usable as CI gates; verify prints the container-independent
@@ -42,12 +43,6 @@ using trace::TraceError;
 
 namespace {
 
-struct WriterFlags
-{
-    trace::V3Options v3;
-    bool v2 = false;
-};
-
 int
 usage()
 {
@@ -55,8 +50,8 @@ usage()
         stderr,
         "usage: tracec <command> [args]\n"
         "  record <workload> <hotspot> <insts> <out> "
-        "[--codec raw|zlib] [--chunk N] [--v2]\n"
-        "  convert <in> <out> [--codec raw|zlib] [--chunk N] [--v2]\n"
+        "[--codec raw|zlib] [--chunk N]\n"
+        "  convert <in> <out> [--codec raw|zlib] [--chunk N]\n"
         "  verify <file...>\n"
         "  inspect <file...>\n"
         "  index <file>\n"
@@ -68,7 +63,7 @@ usage()
 
 /** Pull writer flags out of @p args (consuming them). */
 bool
-parseWriterFlags(std::vector<std::string> &args, WriterFlags &flags)
+parseWriterFlags(std::vector<std::string> &args, trace::V3Options &flags)
 {
     std::vector<std::string> rest;
     for (size_t i = 0; i < args.size(); ++i) {
@@ -76,24 +71,22 @@ parseWriterFlags(std::vector<std::string> &args, WriterFlags &flags)
             if (++i >= args.size())
                 return false;
             if (args[i] == "raw") {
-                flags.v3.codec = trace::V3Codec::RAW;
+                flags.codec = trace::V3Codec::RAW;
             } else if (args[i] == "zlib") {
                 if (!trace::v3ZlibAvailable()) {
                     std::fprintf(stderr,
                                  "tracec: this build has no zlib\n");
                     return false;
                 }
-                flags.v3.codec = trace::V3Codec::ZLIB;
+                flags.codec = trace::V3Codec::ZLIB;
             } else {
                 return false;
             }
         } else if (args[i] == "--chunk") {
             if (++i >= args.size())
                 return false;
-            flags.v3.chunkRecords =
+            flags.chunkRecords =
                 unsigned(sim::parseCount(args[i].c_str(), "--chunk"));
-        } else if (args[i] == "--v2") {
-            flags.v2 = true;
         } else {
             rest.push_back(args[i]);
         }
@@ -105,19 +98,9 @@ parseWriterFlags(std::vector<std::string> &args, WriterFlags &flags)
 /** Copy @p src to @p out under @p flags; returns records written. */
 uint64_t
 writeStream(trace::TraceSource &src, const std::string &out,
-            const WriterFlags &flags, TraceError &err)
+            const trace::V3Options &flags, TraceError &err)
 {
-    if (flags.v2) {
-        trace::TraceFileWriter writer(out);
-        while (!src.done()) {
-            writer.write(*src.peek());
-            src.advance();
-        }
-        const uint64_t n = writer.written();
-        err = writer.close();
-        return n;
-    }
-    trace::TraceV3Writer writer(out, flags.v3);
+    trace::TraceV3Writer writer(out, flags);
     while (!src.done()) {
         writer.write(*src.peek());
         src.advance();
@@ -128,7 +111,7 @@ writeStream(trace::TraceSource &src, const std::string &out,
 }
 
 int
-cmdRecord(std::vector<std::string> args, const WriterFlags &flags)
+cmdRecord(std::vector<std::string> args, const trace::V3Options &flags)
 {
     if (args.size() != 4)
         return usage();
@@ -157,19 +140,18 @@ cmdRecord(std::vector<std::string> args, const WriterFlags &flags)
 }
 
 int
-cmdConvert(std::vector<std::string> args, const WriterFlags &flags)
+cmdConvert(std::vector<std::string> args, const trace::V3Options &flags)
 {
     if (args.size() != 2)
         return usage();
-    TraceError open_err;
-    auto src = trace::openTraceFile(args[0], &open_err);
-    if (!src || !open_err.ok()) {
+    trace::TraceV3Source src(args[0]);
+    if (!src.ok()) {
         std::fprintf(stderr, "tracec: %s\n",
-                     open_err.describe().c_str());
+                     src.error().describe().c_str());
         return 1;
     }
     TraceError err;
-    const uint64_t n = writeStream(*src, args[1], flags, err);
+    const uint64_t n = writeStream(src, args[1], flags, err);
     if (!err.ok()) {
         std::fprintf(stderr, "tracec: %s\n", err.describe().c_str());
         return 1;
@@ -185,30 +167,12 @@ bool
 verifyOne(const std::string &path, uint64_t &records, uint64_t &digest,
           TraceError &err)
 {
-    auto src = trace::openTraceFile(path, &err);
-    if (!src || !err.ok())
-        return false;
-    uint64_t n = 0;
-    uint8_t buf[trace::wire::MAX_RECORD_BYTES];
-    uint64_t h = 14695981039346656037ULL;
-    while (!src->done()) {
-        const size_t len = trace::wire::encodeRecord(*src->peek(), buf);
-        for (size_t i = 0; i < len; ++i) {
-            h ^= buf[i];
-            h *= 1099511628211ULL;
-        }
-        src->advance();
-        ++n;
-    }
-    records = n;
-    digest = h;
-    // The stream may have ended early because of mid-file damage: ask
-    // the concrete source.
-    if (auto *v3 = dynamic_cast<trace::TraceV3Source *>(src.get()))
-        err = v3->error();
-    else if (auto *v2 =
-                 dynamic_cast<trace::FileTraceSource *>(src.get()))
-        err = v2->error();
+    trace::TraceV3Source src(path);
+    digest = trace::wire::streamDigest(src);
+    records = src.consumed();
+    // An open failure reads as an empty stream; mid-file damage ends
+    // the stream early.  Either way the source holds the verdict.
+    err = src.error();
     return err.ok();
 }
 
@@ -303,7 +267,8 @@ cmdIndex(const std::vector<std::string> &args)
 }
 
 int
-cmdCorpusBuild(std::vector<std::string> args, const WriterFlags &flags)
+cmdCorpusBuild(std::vector<std::string> args,
+               const trace::V3Options &flags)
 {
     uint64_t insts = 0;
     std::vector<std::string> only;
@@ -374,9 +339,7 @@ cmdCorpusBuild(std::vector<std::string> args, const WriterFlags &flags)
 
             auto rec_src = w.openTrace(t, insts);
             TraceError err;
-            entry.records = writeStream(*rec_src, path,
-                                        WriterFlags{flags.v3, false},
-                                        err);
+            entry.records = writeStream(*rec_src, path, flags, err);
             if (!err.ok()) {
                 std::fprintf(stderr, "tracec: %s\n",
                              err.describe().c_str());
@@ -453,7 +416,7 @@ main(int argc, char **argv)
         return usage();
     const std::string cmd = argv[1];
     std::vector<std::string> args(argv + 2, argv + argc);
-    WriterFlags flags;
+    trace::V3Options flags;
     if (!parseWriterFlags(args, flags))
         return usage();
 
