@@ -46,6 +46,9 @@ class Simulator
     /** The resource governor (cfg.governor.budgetBytes > 0 only). */
     ResourceGovernor *governor() { return governor_.get(); }
 
+    /** The execution core model (its ring probes are a work counter). */
+    const timing::ExecModel &execModel() const { return exec_; }
+
   private:
     struct Rat;
 

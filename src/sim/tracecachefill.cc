@@ -46,15 +46,15 @@ TraceCacheUnit::observe(const TraceRecord &rec)
         return;
     }
 
-    std::vector<uop::Uop> flow = translator_.translate(
-        in, rec.pc, rec.pc + rec.length);
-    if (uops_.size() + flow.size() > maxUops_)
+    flow_.clear();
+    translator_.translate(in, rec.pc, rec.pc + rec.length, flow_);
+    if (uops_.size() + flow_.size() > maxUops_)
         finishTrace(rec.pc);
 
     if (uops_.empty())
         startPc_ = rec.pc;
     const uint16_t inst_idx = uint16_t(pcs_.size());
-    for (auto &u : flow) {
+    for (uop::Uop &u : flow_) {
         u.instIdx = inst_idx;
         uops_.push_back(u);
     }

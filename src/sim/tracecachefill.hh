@@ -41,6 +41,7 @@ class TraceCacheUnit
     core::FrameCache cache_;
 
     // Accumulation state.
+    std::vector<uop::Uop> flow_;    ///< translation scratch
     std::vector<uop::Uop> uops_;
     std::vector<uint32_t> pcs_;
     uint32_t startPc_ = 0;

@@ -9,6 +9,7 @@ CacheModel::CacheModel(std::string name, uint32_t size_bytes,
                        uint32_t line_bytes, uint32_t assoc,
                        unsigned hit_latency)
     : lineBytes_(line_bytes), numSets_(size_bytes / line_bytes / assoc),
+      lineShift_(floorLog2(line_bytes)), setShift_(floorLog2(numSets_)),
       assoc_(assoc), hitLatency_(hit_latency),
       ways_(numSets_ * assoc), stats_(std::move(name)),
       hits_(stats_.counter("hits")), misses_(stats_.counter("misses"))
@@ -20,9 +21,9 @@ CacheModel::CacheModel(std::string name, uint32_t size_bytes,
 bool
 CacheModel::access(uint32_t addr)
 {
-    const uint32_t line = addr / lineBytes_;
+    const uint32_t line = addr >> lineShift_;
     const uint32_t set = line & (numSets_ - 1);
-    const uint32_t tag = line / numSets_;
+    const uint32_t tag = line >> setShift_;
     Way *base = &ways_[set * assoc_];
     ++useClock_;
 
@@ -55,9 +56,9 @@ CacheModel::access(uint32_t addr)
 bool
 CacheModel::contains(uint32_t addr) const
 {
-    const uint32_t line = addr / lineBytes_;
+    const uint32_t line = addr >> lineShift_;
     const uint32_t set = line & (numSets_ - 1);
-    const uint32_t tag = line / numSets_;
+    const uint32_t tag = line >> setShift_;
     const Way *base = &ways_[set * assoc_];
     for (uint32_t w = 0; w < assoc_; ++w) {
         if (base[w].valid && base[w].tag == tag)

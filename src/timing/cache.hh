@@ -47,6 +47,8 @@ class CacheModel
 
     uint32_t lineBytes_;
     uint32_t numSets_;
+    unsigned lineShift_;        ///< log2(lineBytes_): no divide per access
+    unsigned setShift_;         ///< log2(numSets_)
     uint32_t assoc_;
     unsigned hitLatency_;
     uint64_t useClock_ = 0;

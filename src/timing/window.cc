@@ -32,67 +32,12 @@ fuClassOf(uop::Op op)
 }
 
 ExecModel::ExecModel(ExecParams params, MemoryHierarchy &mem)
-    : params_(params), mem_(mem), ringCycle_(RING, ~0ULL),
-      dispatchRing_(RING, 0), issueRing_(RING, 0), retireRing_(RING, 0),
-      windowRetire_(params.windowSize, 0),
+    : params_(params), mem_(mem),
+      fuLimit_{uint8_t(params.simpleAlus), uint8_t(params.complexAlus),
+               uint8_t(params.fpus), uint8_t(params.lsus)},
+      slots_(RING), windowRetire_(params.windowSize, 0),
       storeMap_(STORE_MAP, {0xffffffff, 0})
 {
-    for (auto &ring : fuRing_)
-        ring.assign(RING, 0);
-}
-
-void
-ExecModel::touchCycle(uint64_t cycle)
-{
-    const size_t idx = cycle & (RING - 1);
-    if (ringCycle_[idx] != cycle) {
-        ringCycle_[idx] = cycle;
-        dispatchRing_[idx] = 0;
-        issueRing_[idx] = 0;
-        retireRing_[idx] = 0;
-        for (auto &ring : fuRing_)
-            ring[idx] = 0;
-    }
-}
-
-uint64_t
-ExecModel::reserveSlot(std::vector<uint8_t> &ring, uint64_t from,
-                       unsigned limit)
-{
-    uint64_t cycle = from;
-    for (unsigned guard = 0; guard < RING; ++guard, ++cycle) {
-        touchCycle(cycle);
-        uint8_t &count = ring[cycle & (RING - 1)];
-        if (count < limit) {
-            ++count;
-            return cycle;
-        }
-    }
-    panic("no free slot within %u cycles of %llu", RING,
-          (unsigned long long)from);
-}
-
-unsigned
-ExecModel::fuLimit(FuClass cls) const
-{
-    switch (cls) {
-      case FuClass::SIMPLE:  return params_.simpleAlus;
-      case FuClass::COMPLEX: return params_.complexAlus;
-      case FuClass::FPU:     return params_.fpus;
-      case FuClass::LSU:     return params_.lsus;
-      default:               return 1;
-    }
-}
-
-uint64_t
-ExecModel::fetchBackpressure() const
-{
-    if (count_ < params_.windowSize)
-        return 0;
-    const uint64_t oldest_retire =
-        windowRetire_[count_ % params_.windowSize];
-    const uint64_t f2d = params_.fetchToDispatch;
-    return oldest_retire > f2d ? oldest_retire - f2d : 0;
 }
 
 UopTiming
@@ -104,11 +49,14 @@ ExecModel::exec(uint64_t fetch_cycle, uop::Op op, uint8_t mem_size,
 
     // ---- dispatch -------------------------------------------------------
     uint64_t dispatch = fetch_cycle + params_.fetchToDispatch;
-    if (count_ >= params_.windowSize) {
-        dispatch = std::max(dispatch,
-                            windowRetire_[count_ % params_.windowSize]);
-    }
-    t.dispatch = reserveSlot(dispatchRing_, dispatch, params_.width);
+    if (count_ >= params_.windowSize)
+        dispatch = std::max(dispatch, windowRetire_[oldest_]);
+    panic_if(dispatch < lastDispatchRequest_,
+             "dispatch request %llu went backwards from %llu",
+             (unsigned long long)dispatch,
+             (unsigned long long)lastDispatchRequest_);
+    lastDispatchRequest_ = dispatch;
+    t.dispatch = dispatch_.reserve(dispatch, params_.width);
 
     // ---- ready -----------------------------------------------------------
     uint64_t ready = t.dispatch + 1;
@@ -116,20 +64,25 @@ ExecModel::exec(uint64_t fetch_cycle, uop::Op op, uint8_t mem_size,
         ready = std::max(ready, deps[d]);
 
     // ---- issue: needs both an issue slot and a function unit ----------
-    const FuClass cls = fuClassOf(op);
-    const unsigned limit = fuLimit(cls);
-    auto &fu_ring = fuRing_[unsigned(cls)];
+    const unsigned cls = unsigned(fuClassOf(op));
+    const unsigned limit = fuLimit_[cls];
     uint64_t cycle = ready;
-    for (unsigned guard = 0;; ++guard, ++cycle) {
-        panic_if(guard >= RING, "issue search overflow");
-        touchCycle(cycle);
-        const size_t idx = cycle & (RING - 1);
-        if (issueRing_[idx] < params_.width && fu_ring[idx] < limit) {
-            ++issueRing_[idx];
-            ++fu_ring[idx];
+    for (;; ++cycle) {
+        ++probes_;
+        Slot &slot = slots_[cycle & (RING - 1)];
+        if (slot.cycle != cycle)
+            slot = Slot{cycle};
+        if (slot.issued < params_.width && slot.fu[cls] < limit) {
+            ++slot.issued;
+            ++slot.fu[cls];
             break;
         }
     }
+    panic_if(cycle - t.dispatch >= RING,
+             "issue at cycle %llu is %u+ cycles past dispatch %llu: the "
+             "slot ring would alias",
+             (unsigned long long)cycle, RING,
+             (unsigned long long)t.dispatch);
     t.issue = cycle;
 
     // ---- completion -------------------------------------------------------
@@ -191,10 +144,11 @@ ExecModel::exec(uint64_t fetch_cycle, uop::Op op, uint8_t mem_size,
         t.complete = t.issue + latency;
 
     // ---- in-order retirement ------------------------------------------------
-    uint64_t retire = std::max(t.complete + 1, lastRetire_);
-    t.retire = reserveSlot(retireRing_, retire, params_.width);
-    lastRetire_ = t.retire;
-    windowRetire_[count_ % params_.windowSize] = t.retire;
+    t.retire = retire_.reserve(std::max(t.complete + 1, retire_.cycle),
+                               params_.width);
+    windowRetire_[oldest_] = t.retire;
+    if (++oldest_ == params_.windowSize)
+        oldest_ = 0;
     ++count_;
     return t;
 }

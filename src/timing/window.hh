@@ -12,6 +12,13 @@
  * with an extra replay penalty on L1 misses standing in for the
  * paper's speculative wakeup/rescheduling), and in-order retirement
  * (8 wide).
+ *
+ * Cost per micro-op does not grow with occupancy.  Dispatch requests
+ * never go backwards (fetch time is monotone and so are the retire
+ * times the window waits on) and retirement is in order, so each is a
+ * single (cycle, count) cursor.  Only the out-of-order issue search
+ * needs per-cycle state: one 16-byte slot per cycle in a tagged ring,
+ * probed from the ready cycle upward.
  */
 
 #ifndef REPLAY_TIMING_WINDOW_HH
@@ -107,39 +114,87 @@ class ExecModel
      * without overflowing the window (given the fetch-to-dispatch
      * depth).  Fetch stalls until then — the Stall bin.
      */
-    uint64_t fetchBackpressure() const;
+    uint64_t
+    fetchBackpressure() const
+    {
+        if (count_ < params_.windowSize)
+            return 0;
+        const uint64_t oldest_retire = windowRetire_[oldest_];
+        const uint64_t f2d = params_.fetchToDispatch;
+        return oldest_retire > f2d ? oldest_retire - f2d : 0;
+    }
 
-    uint64_t lastRetire() const { return lastRetire_; }
+    uint64_t lastRetire() const { return retire_.cycle; }
     uint64_t uopsRetired() const { return count_; }
 
-  private:
-    /** First cycle >= @p from with a free slot in @p ring. */
-    uint64_t reserveSlot(std::vector<uint8_t> &ring, uint64_t from,
-                         unsigned limit);
+    /**
+     * Issue-slot ring probes so far: the timing model's work counter
+     * (a slot examined by an issue search).  Dispatch and retirement
+     * are cursor updates and probe nothing.  Not part of any result.
+     */
+    uint64_t ringProbes() const { return probes_; }
 
+    /**
+     * Cycles past the dispatch cursor an issue may land.  The slot
+     * ring has this many entries; every live slot lies in
+     * (dispatch cursor, dispatch cursor + RING), so no two live cycles
+     * share a slot.
+     */
     static constexpr unsigned RING = 1u << 15;
+
+  private:
+    /**
+     * An in-order resource: requests never go backwards, so the only
+     * cycle that can still have room is the newest one used.
+     */
+    struct Cursor
+    {
+        uint64_t cycle = 0;     ///< newest cycle holding a reservation
+        unsigned used = 0;      ///< reservations in that cycle
+
+        /** First cycle >= @p from with one of @p limit slots free. */
+        uint64_t
+        reserve(uint64_t from, unsigned limit)
+        {
+            if (from > cycle) {
+                cycle = from;
+                used = 0;
+            } else if (used == limit) {
+                ++cycle;
+                used = 0;
+            }
+            ++used;
+            return cycle;
+        }
+    };
+
+    /** Issue occupancy of one cycle (valid while tag == that cycle). */
+    struct Slot
+    {
+        uint64_t cycle = ~0ULL;
+        uint8_t issued = 0;
+        uint8_t fu[unsigned(FuClass::NUM_CLASSES)] = {};
+    };
+    static_assert(sizeof(Slot) == 16, "one slot per 16 bytes");
 
     ExecParams params_;
     MemoryHierarchy &mem_;
+    uint8_t fuLimit_[unsigned(FuClass::NUM_CLASSES)];
 
-    // Per-cycle resource occupancy rings (epoch-validated).
-    std::vector<uint64_t> ringCycle_;
-    std::vector<uint8_t> dispatchRing_;
-    std::vector<uint8_t> issueRing_;
-    std::vector<uint8_t> retireRing_;
-    std::vector<uint8_t> fuRing_[unsigned(FuClass::NUM_CLASSES)];
+    Cursor dispatch_;
+    Cursor retire_;
+    uint64_t lastDispatchRequest_ = 0;
+    std::vector<Slot> slots_;
+    uint64_t probes_ = 0;
 
     /** Retire times of the last windowSize micro-ops. */
     std::vector<uint64_t> windowRetire_;
+    unsigned oldest_ = 0;       ///< windowRetire_ index of count_ - W
     uint64_t count_ = 0;
-    uint64_t lastRetire_ = 0;
 
     /** Latest in-flight store completion per word address. */
     std::vector<std::pair<uint32_t, uint64_t>> storeMap_;
     static constexpr size_t STORE_MAP = 1u << 12;
-
-    void touchCycle(uint64_t cycle);
-    unsigned fuLimit(FuClass cls) const;
 };
 
 } // namespace replay::timing

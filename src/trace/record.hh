@@ -46,6 +46,12 @@ struct TraceRecord
     /** Populate from an executor step. */
     static TraceRecord fromStep(const x86::StepInfo &step);
 
+    /**
+     * Overwrite @p out with the record of @p step, leaving it equal to
+     * fromStep(step) (unused side-effect entries are reset too).
+     */
+    static void fromStep(const x86::StepInfo &step, TraceRecord &out);
+
     bool isControl() const { return inst.isControl(); }
     bool isCondBranch() const { return inst.isCondBranch(); }
 };

@@ -10,42 +10,32 @@ ExecutorTraceSource::ExecutorTraceSource(const x86::Program &program,
 {
 }
 
+ExecutorTraceSource::ExecutorTraceSource(x86::Program &&program,
+                                         uint64_t max_insts)
+    : owned_(std::make_unique<const x86::Program>(std::move(program))),
+      exec_(*owned_), budget_(max_insts)
+{
+}
+
 void
 ExecutorTraceSource::fill(unsigned n)
 {
     while (count_ < n && budget_ > 0) {
-        const size_t slot = (head_ + count_) % ring_.size();
-        ring_[slot] = TraceRecord::fromStep(exec_.step());
+        exec_.step(step_);
+        TraceRecord::fromStep(step_, ring_[(head_ + count_) & RING_MASK]);
         ++count_;
         --budget_;
     }
 }
 
 const TraceRecord *
-ExecutorTraceSource::peek(unsigned ahead)
+ExecutorTraceSource::peekSlow(unsigned ahead)
 {
     panic_if(ahead >= LOOKAHEAD, "peek(%u) beyond lookahead", ahead);
     fill(ahead + 1);
     if (ahead >= count_)
         return nullptr;
-    return &ring_[(head_ + ahead) % ring_.size()];
-}
-
-void
-ExecutorTraceSource::advance()
-{
-    fill(1);
-    panic_if(count_ == 0, "advance past end of trace");
-    head_ = (head_ + 1) % ring_.size();
-    --count_;
-    ++consumed_;
-}
-
-bool
-ExecutorTraceSource::done()
-{
-    fill(1);
-    return count_ == 0;
+    return &ring_[(head_ + ahead) & RING_MASK];
 }
 
 std::vector<TraceRecord>

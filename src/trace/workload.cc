@@ -519,30 +519,11 @@ Workload::buildProgram(unsigned trace_idx) const
     return synthesizeProgram(p);
 }
 
-std::unique_ptr<TraceSource>
+std::unique_ptr<ExecutorTraceSource>
 Workload::openTrace(unsigned trace_idx, uint64_t max_insts) const
 {
-    // The program must outlive the source; bundle them.
-    struct OwningSource : public TraceSource
-    {
-        OwningSource(x86::Program prog, uint64_t insts)
-            : program(std::move(prog)), source(program, insts)
-        {
-        }
-        const TraceRecord *
-        peek(unsigned ahead = 0) override
-        {
-            return source.peek(ahead);
-        }
-        void advance() override { source.advance(); }
-        bool done() override { return source.done(); }
-        uint64_t consumed() const override { return source.consumed(); }
-
-        x86::Program program;
-        ExecutorTraceSource source;
-    };
-    return std::make_unique<OwningSource>(buildProgram(trace_idx),
-                                          max_insts);
+    return std::make_unique<ExecutorTraceSource>(buildProgram(trace_idx),
+                                                 max_insts);
 }
 
 } // namespace replay::trace

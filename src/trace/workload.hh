@@ -82,8 +82,8 @@ struct Workload
     /** Synthesize the program for hot spot @p trace_idx (0-based). */
     x86::Program buildProgram(unsigned trace_idx) const;
 
-    /** Open a trace source over hot spot @p trace_idx. */
-    std::unique_ptr<TraceSource>
+    /** Open a trace source over hot spot @p trace_idx (owns its program). */
+    std::unique_ptr<ExecutorTraceSource>
     openTrace(unsigned trace_idx, uint64_t max_insts) const;
 };
 

@@ -191,15 +191,19 @@ subOverflows(uint32_t a, uint32_t b, uint32_t r)
 
 } // anonymous namespace
 
-StepInfo
-Executor::step()
+void
+Executor::step(StepInfo &info)
 {
     const Program::Placed &placed = program_.at(pc_);
     const Inst &in = placed.inst;
 
-    StepInfo info;
     info.pc = pc_;
     info.placed = &placed;
+    info.branchTaken = false;
+    info.wroteFlags = false;
+    info.regWrites.clear();
+    info.fregWrites.clear();
+    info.memOps.clear();
     uint32_t next = pc_ + placed.length;
 
     auto srcValue = [&]() -> uint32_t {
@@ -528,14 +532,14 @@ Executor::step()
     info.flagsAfter = flags_;
     pc_ = next;
     ++instCount_;
-    return info;
 }
 
 void
 Executor::run(uint64_t count)
 {
+    StepInfo info;
     for (uint64_t i = 0; i < count; ++i)
-        step();
+        step(info);
 }
 
 } // namespace replay::x86

@@ -115,7 +115,16 @@ class Executor
     explicit Executor(const Program &program);
 
     /** Execute the instruction at the current PC. */
-    StepInfo step();
+    StepInfo
+    step()
+    {
+        StepInfo info;
+        step(info);
+        return info;
+    }
+
+    /** As step(), overwriting a caller-owned @p info (no set-up cost). */
+    void step(StepInfo &info);
 
     /** Execute until @p count instructions have retired. */
     void run(uint64_t count);

@@ -10,7 +10,6 @@
 #define REPLAY_X86_PROGRAM_HH
 
 #include <cstdint>
-#include <unordered_map>
 #include <vector>
 
 #include "x86/inst.hh"
@@ -39,11 +38,21 @@ class Program
     Program(std::vector<Placed> code, std::vector<DataSegment> data,
             uint32_t entry, uint32_t stack_top);
 
+    /** Largest span of instruction addresses a program may cover. */
+    static constexpr uint32_t MAX_CODE_SPAN = 16u << 20;
+
     /** Fetch the instruction at @p addr; fatal if none is placed there. */
-    const Placed &at(uint32_t addr) const;
+    const Placed &
+    at(uint32_t addr) const
+    {
+        const uint32_t slot = slotOf(addr);
+        if (slot == NO_INST) [[unlikely]]
+            missing(addr);
+        return code_[slot];
+    }
 
     /** True if an instruction starts at @p addr. */
-    bool contains(uint32_t addr) const;
+    bool contains(uint32_t addr) const { return slotOf(addr) != NO_INST; }
 
     const std::vector<Placed> &code() const { return code_; }
     const std::vector<DataSegment> &data() const { return data_; }
@@ -54,8 +63,27 @@ class Program
     uint32_t codeBytes() const { return codeBytes_; }
 
   private:
+    static constexpr uint32_t NO_INST = ~0u;
+
+    /** code_ index of the instruction starting at @p addr, or NO_INST. */
+    uint32_t
+    slotOf(uint32_t addr) const
+    {
+        const uint32_t off = addr - codeLo_;    // wraps below codeLo_
+        return off < byOffset_.size() ? byOffset_[off] : NO_INST;
+    }
+
+    [[noreturn]] void missing(uint32_t addr) const;
+
     std::vector<Placed> code_;
-    std::unordered_map<uint32_t, size_t> byAddr_;
+    /**
+     * Dense index over the code span: byOffset_[addr - codeLo_] is the
+     * code_ index of the instruction starting at addr, or NO_INST.
+     * The builders lay code out contiguously, so the table is four
+     * bytes per code byte.
+     */
+    std::vector<uint32_t> byOffset_;
+    uint32_t codeLo_ = 0;
     std::vector<DataSegment> data_;
     uint32_t entry_;
     uint32_t stackTop_;

@@ -293,3 +293,36 @@ TEST(Simulator, FileTraceMatchesLiveTrace)
     EXPECT_EQ(live_stats.frameCommits, file_stats.frameCommits);
     EXPECT_EQ(live_stats.mispredicts, file_stats.mispredicts);
 }
+
+// Work counter for the timing model: issue-slot ring probes over one
+// fig6 trace (gzip hot spot 0, perfbench's 100k-instruction budget)
+// in every machine column.  Dispatch and retirement are cursors and
+// probe nothing, so only the out-of-order issue search counts: 1.00,
+// 5.86, 1.84 and 1.15 probes per µop here, 2.07 over the whole fig6
+// grid.  The occupancy-ring scheduler this replaced also walked rings
+// for dispatch and retirement (4.15 per µop over fig6).  A change that
+// moves these counts changes the timing model's work and must say why.
+TEST(Simulator, TimingRingProbesArePinned)
+{
+    struct Pin
+    {
+        Machine machine;
+        uint64_t uops;
+        uint64_t probes;
+    };
+    const Pin pins[] = {
+        {Machine::IC, 117381, 117547},
+        {Machine::TC, 117381, 687932},
+        {Machine::RP, 118459, 217387},
+        {Machine::RPO, 98785, 113315},
+    };
+    for (const Pin &pin : pins) {
+        auto src = trace::findWorkload("gzip").openTrace(0, 100000);
+        Simulator sim(SimConfig::make(pin.machine));
+        sim.run(*src);
+        const timing::ExecModel &exec = sim.execModel();
+        EXPECT_EQ(exec.uopsRetired(), pin.uops) << machineName(pin.machine);
+        EXPECT_EQ(exec.ringProbes(), pin.probes)
+            << machineName(pin.machine);
+    }
+}

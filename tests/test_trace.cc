@@ -6,6 +6,7 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <map>
 
 #include "trace/record.hh"
@@ -54,6 +55,60 @@ TEST(ExecutorTraceSource, MatchesCollectedTrace)
     }
     EXPECT_TRUE(src.done());
     EXPECT_EQ(src.consumed(), 2000u);
+}
+
+namespace {
+
+/** Every field of two records, unused side-effect entries included. */
+void
+expectSameRecord(const TraceRecord &a, const TraceRecord &b, size_t i)
+{
+    EXPECT_EQ(a.pc, b.pc) << i;
+    EXPECT_EQ(a.nextPc, b.nextPc) << i;
+    EXPECT_TRUE(a.inst == b.inst) << i;
+    EXPECT_EQ(a.length, b.length) << i;
+    EXPECT_EQ(a.taken, b.taken) << i;
+    EXPECT_EQ(a.wroteFlags, b.wroteFlags) << i;
+    EXPECT_EQ(a.flagsAfter, b.flagsAfter) << i;
+    EXPECT_EQ(a.numRegWrites, b.numRegWrites) << i;
+    EXPECT_EQ(a.numMemOps, b.numMemOps) << i;
+    EXPECT_EQ(a.numFregWrites, b.numFregWrites) << i;
+    for (unsigned k = 0; k < TraceRecord::MAX_REG_WRITES; ++k) {
+        EXPECT_EQ(a.regWrites[k].reg, b.regWrites[k].reg) << i;
+        EXPECT_EQ(a.regWrites[k].value, b.regWrites[k].value) << i;
+    }
+    for (unsigned k = 0; k < TraceRecord::MAX_MEM_OPS; ++k) {
+        EXPECT_EQ(a.memOps[k].isStore, b.memOps[k].isStore) << i;
+        EXPECT_EQ(a.memOps[k].addr, b.memOps[k].addr) << i;
+        EXPECT_EQ(a.memOps[k].size, b.memOps[k].size) << i;
+        EXPECT_EQ(a.memOps[k].data, b.memOps[k].data) << i;
+    }
+    EXPECT_EQ(a.fregWrite.reg, b.fregWrite.reg) << i;
+    EXPECT_EQ(a.fregWrite.value, b.fregWrite.value) << i;
+}
+
+} // namespace
+
+TEST(ExecutorTraceSource, OwningSourceRewritesRingSlotsLikeFreshRecords)
+{
+    // openTrace owns its program; records are written in place into
+    // reused ring slots and must equal freshly built ones field for
+    // field, across many ring wraps and at every peek depth used.
+    const Workload &w = findWorkload("dream");
+    const auto fresh = collectTrace(w.buildProgram(0), 6000);
+    auto src = w.openTrace(0, 6000);
+    for (size_t i = 0; i < fresh.size(); ++i) {
+        const unsigned ahead = unsigned(i * 37 % TraceSource::LOOKAHEAD);
+        if (i + ahead < fresh.size()) {
+            const TraceRecord *deep = src->peek(ahead);
+            ASSERT_NE(deep, nullptr);
+            expectSameRecord(*deep, fresh[i + ahead], i + ahead);
+        }
+        expectSameRecord(*src->peek(), fresh[i], i);
+        src->advance();
+    }
+    EXPECT_TRUE(src->done());
+    EXPECT_EQ(src->peek(), nullptr);
 }
 
 TEST(ExecutorTraceSource, DeepLookahead)
@@ -218,6 +273,91 @@ TEST(Workloads, DesktopCodeFootprintExceedsSpec)
         }
     }
     EXPECT_GT(desk_bytes / desk_n, spec_bytes / spec_n);
+}
+
+// ---------------------------------------------------------------------
+// Program's dense address index
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * at()/contains() agree with a brute-force scan of code() at every
+ * address from 16 bytes below the code span to 16 bytes above it.
+ */
+void
+expectIndexMatchesScan(const x86::Program &prog)
+{
+    const auto &code = prog.code();
+    ASSERT_FALSE(code.empty());
+    uint32_t lo = ~0u, hi = 0;
+    for (const auto &p : code) {
+        lo = std::min(lo, p.addr);
+        hi = std::max(hi, p.addr + p.length);
+    }
+    unsigned starts = 0;
+    for (uint32_t addr = lo - 16; addr != hi + 17; ++addr) {
+        const x86::Program::Placed *want = nullptr;
+        for (const auto &p : code) {
+            if (p.addr == addr)
+                want = &p;
+        }
+        ASSERT_EQ(prog.contains(addr), want != nullptr) << addr;
+        if (want) {
+            EXPECT_EQ(&prog.at(addr), want) << addr;
+            ++starts;
+        }
+    }
+    EXPECT_EQ(starts, code.size());
+}
+
+} // namespace
+
+TEST(ProgramIndex, AgreesWithScanOnSynthesizedProgram)
+{
+    // lotus hot spot 1 has the widest code span (11.5 KB).
+    expectIndexMatchesScan(findWorkload("lotus").buildProgram(1));
+}
+
+TEST(ProgramIndex, AgreesWithScanOnAsmBuilderProgram)
+{
+    // Based 8 bytes above zero, so the scan's low end wraps below 0.
+    AsmBuilder b(8);
+    b.label("top");
+    b.movRI(Reg::EAX, 7);
+    b.addRR(Reg::EAX, Reg::EBX);
+    b.movRM(Reg::ECX, memAt(Reg::ESI, 4));
+    b.nop();
+    b.jcc(Cond::NE, "top");
+    b.ret();
+    expectIndexMatchesScan(b.build());
+}
+
+TEST(ProgramIndexDeathTest, UnplacedAddressKeepsItsFatalMessage)
+{
+    AsmBuilder b;
+    b.movRI(Reg::EAX, 1);
+    b.ret();
+    const x86::Program prog = b.build();
+    // Inside the span but not an instruction start, and past its end.
+    EXPECT_DEATH(prog.at(prog.entry() + 1),
+                 "fatal: .*execution reached 0x00401001 where no "
+                 "instruction is placed");
+    EXPECT_DEATH(prog.at(0x7fff0000),
+                 "execution reached 0x7fff0000 where no instruction is "
+                 "placed");
+}
+
+TEST(ProgramIndexDeathTest, CodeSpanOverTheCapPanics)
+{
+    x86::Program::Placed first, last;
+    first.addr = 0x1000;
+    first.length = 1;
+    last = first;
+    last.addr = first.addr + x86::Program::MAX_CODE_SPAN;
+    EXPECT_DEATH(x86::Program({first, last}, {}, first.addr, 0x7ffff000),
+                 "panic: .*code span 0x00001000\\.\\.0x01001000 exceeds "
+                 "the 16777216-byte cap");
 }
 
 // ---------------------------------------------------------------------

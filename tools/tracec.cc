@@ -152,8 +152,14 @@ cmdConvert(std::vector<std::string> args, const trace::V3Options &flags)
     }
     TraceError err;
     const uint64_t n = writeStream(src, args[1], flags, err);
+    // Damage ends the source's stream early: the copy would be a
+    // silently shortened trace, so the source's verdict wins.
+    if (!src.error().ok())
+        err = src.error();
     if (!err.ok()) {
         std::fprintf(stderr, "tracec: %s\n", err.describe().c_str());
+        std::error_code ec;
+        std::filesystem::remove(args[1], ec);
         return 1;
     }
     std::printf("converted %llu records %s -> %s\n",
