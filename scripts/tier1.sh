@@ -1,11 +1,11 @@
 #!/usr/bin/env bash
 # Tier-1 verification: the full test suite in the normal configuration,
-# then the fuzz-smoke differential-oracle subset rebuilt and re-run
-# under AddressSanitizer + UBSan (catches memory bugs the functional
-# comparison alone would miss), then the sweep-labeled tests (thread
-# pool + parallel sweep driver) rebuilt and re-run with 4 workers under
-# ThreadSanitizer (keeps the shared-substrate thread-cleanliness pass
-# honest).
+# then the fuzz-smoke differential-oracle subset and the core battery
+# rebuilt and re-run under AddressSanitizer + UBSan (catches memory
+# bugs the functional comparison alone would miss), then the
+# sweep-labeled tests (thread pool + parallel sweep driver) rebuilt and
+# re-run with 4 workers under ThreadSanitizer (keeps the
+# shared-substrate thread-cleanliness pass honest).
 #
 # Usage: scripts/tier1.sh [build-dir] [asan-build-dir] [tsan-build-dir]
 set -euo pipefail
@@ -112,10 +112,13 @@ else
     echo "warn: clang-tidy unavailable on this host; skipping"
 fi
 
-echo "== tier-1: fuzz-smoke under ASan+UBSan (${ASAN_BUILD}) =="
+echo "== tier-1: fuzz-smoke + core under ASan+UBSan (${ASAN_BUILD}) =="
+# The fuzz-smoke oracle never builds a RePlayEngine, so the core
+# battery (constructor, engine, frame cache; its equivalence tests
+# materialize every candidate of the 24 standard traces) runs here too.
 cmake -B "$ASAN_BUILD" -S . -DCMAKE_BUILD_TYPE=Debug -DENABLE_SANITIZERS=ON
-cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_fuzz
-ctest --test-dir "$ASAN_BUILD" --output-on-failure -L fuzz-smoke
+cmake --build "$ASAN_BUILD" -j "$JOBS" --target test_fuzz test_core
+ctest --test-dir "$ASAN_BUILD" --output-on-failure -L 'fuzz-smoke|core'
 
 echo "== tier-1: trace container corruption fuzz + round-trip under ASan+UBSan =="
 if [ "${REPLAY_SKIP_TRACEV3:-0}" = "1" ]; then

@@ -28,10 +28,19 @@ clearCandidate(FrameCandidate &cand)
     cand.dynamicExit = false;
     cand.closedByIncludedInst = false;
     cand.numBlocks = 1;
+    cand.numUops = 0;
     cand.uops.clear();
     cand.blocks.clear();
     cand.pcs.clear();
     cand.records.clear();
+}
+
+bool
+isIndirect(const x86::Inst &in)
+{
+    return (in.mnem == Mnem::JMP && in.form != x86::Form::REL) ||
+           (in.mnem == Mnem::CALL && in.form != x86::Form::REL) ||
+           in.mnem == Mnem::RET;
 }
 
 } // anonymous namespace
@@ -50,45 +59,39 @@ FrameConstructor::recycle(FrameCandidate &&cand)
     spare_ = std::move(cand);
 }
 
-std::optional<FrameCandidate>
+void
 FrameConstructor::finish(uint32_t next_pc, bool dynamic_exit,
-                         bool closed_by_included)
+                         bool closed_by_included, FrameCandidate *&closed)
 {
-    if (acc_.uops.empty()) {
+    if (acc_.numUops == 0) {
         abandon();
-        return std::nullopt;
+        return;
     }
-    if (acc_.uops.size() < cfg_.minUops) {
+    if (acc_.numUops < cfg_.minUops) {
         ++tooSmall_;
         abandon();
-        return std::nullopt;
+        return;
     }
-    FrameCandidate out = std::move(acc_);
-    out.nextPc = next_pc;
-    out.dynamicExit = dynamic_exit;
-    out.closedByIncludedInst = closed_by_included;
-    out.numBlocks = curBlock_ + 1;
-    // Refill the accumulator from the recycle slot so the moved-out
-    // buffers are replaced by warmed-up ones instead of empty ones.
-    acc_ = std::move(spare_);
-    spare_ = FrameCandidate{};
-    abandon();
     ++emitted_;
-    return out;
+    if (!closed) {
+        acc_.nextPc = next_pc;
+        acc_.dynamicExit = dynamic_exit;
+        acc_.closedByIncludedInst = closed_by_included;
+        acc_.numBlocks = curBlock_ + 1;
+        // done_'s buffers (the previous candidate's) become the next
+        // accumulation's, so the steady state allocates nothing.
+        std::swap(acc_, done_);
+        closed = &done_;
+    }
+    abandon();
 }
 
 void
-FrameConstructor::append(const TraceRecord &rec,
-                         const std::vector<Uop> &flow)
+FrameConstructor::append(const TraceRecord &rec, unsigned num_uops)
 {
-    if (acc_.uops.empty())
+    if (acc_.numUops == 0)
         acc_.startPc = rec.pc;
-    const uint16_t inst_idx = uint16_t(acc_.pcs.size());
-    for (const auto &u : flow) {
-        acc_.blocks.push_back(curBlock_);
-        acc_.uops.push_back(u);
-        acc_.uops.back().instIdx = inst_idx;
-    }
+    acc_.numUops += num_uops;
     acc_.pcs.push_back(rec.pc);
     acc_.records.push_back(rec);
 }
@@ -96,30 +99,44 @@ FrameConstructor::append(const TraceRecord &rec,
 std::optional<FrameCandidate>
 FrameConstructor::observe(const TraceRecord &rec)
 {
+    FrameCandidate *cand = observeShape(rec);
+    if (!cand)
+        return std::nullopt;
+    materialize(*cand);
+    std::optional<FrameCandidate> out(std::move(*cand));
+    // Refill the moved-out slot from the recycle slot so the next
+    // candidate closes into warmed-up buffers instead of empty ones.
+    done_ = std::move(spare_);
+    spare_ = FrameCandidate{};
+    return out;
+}
+
+FrameCandidate *
+FrameConstructor::observeShape(const TraceRecord &rec)
+{
     const x86::Inst &in = rec.inst;
+    FrameCandidate *closed = nullptr;
 
     // ---- learning ------------------------------------------------------
     if (in.isCondBranch())
         bias_.record(rec.pc, rec.taken);
-    const bool is_indirect =
-        (in.mnem == Mnem::JMP && in.form != x86::Form::REL) ||
-        (in.mnem == Mnem::CALL && in.form != x86::Form::REL) ||
-        in.mnem == Mnem::RET;
+    const bool is_indirect = isIndirect(in);
     if (is_indirect)
         targets_.record(rec.pc, rec.nextPc);
 
     // ---- hard frame terminators ------------------------------------------
-    if (in.mnem == Mnem::LONGFLOW)
-        return finish(rec.pc, false);
+    if (in.mnem == Mnem::LONGFLOW) {
+        finish(rec.pc, false, false, closed);
+        return closed;
+    }
 
     flowScratch_.clear();
     translator_.translate(in, rec.pc, rec.pc + rec.length, flowScratch_);
-    std::vector<Uop> &flow = flowScratch_;
+    const unsigned num_uops = unsigned(flowScratch_.size());
 
     // ---- size limit ------------------------------------------------------
-    std::optional<FrameCandidate> completed;
-    if (acc_.uops.size() + flow.size() > cfg_.maxUops)
-        completed = finish(rec.pc, false);
+    if (acc_.numUops + num_uops > cfg_.maxUops)
+        finish(rec.pc, false, false, closed);
 
     // ---- conditional branches -------------------------------------------
     if (in.isCondBranch()) {
@@ -130,19 +147,15 @@ FrameConstructor::observe(const TraceRecord &rec)
         if (!promotable) {
             // End the frame before the unbiased branch; the branch is
             // not part of any frame.
-            auto before = finish(rec.pc, false);
-            return completed ? completed : before;
+            finish(rec.pc, false, false, closed);
+            return closed;
         }
-        // Promote: the BR micro-op becomes an assertion that the
-        // branch keeps going the biased way.
-        Uop &br = flow.back();
+        // Promote: materialize() turns the BR into an assertion that
+        // the branch keeps going the biased way.
+        const Uop &br = flowScratch_.back();
         panic_if(br.op != Op::BR, "branch flow must end in BR");
-        const uint32_t taken_target = br.target;
-        br.op = Op::ASSERT;
-        br.cc = rec.taken ? br.cc : x86::invert(br.cc);
-        br.target = 0;
-        const bool backward = rec.taken && taken_target <= rec.pc;
-        append(rec, flow);
+        const bool backward = rec.taken && br.target <= rec.pc;
+        append(rec, num_uops);
         ++curBlock_;
         if (backward) {
             // Loop back-edge: close the frame here so loop frames
@@ -150,41 +163,77 @@ FrameConstructor::observe(const TraceRecord &rec)
             // own start (the loop head), so committed loop frames
             // refetch back-to-back from the frame cache, and the
             // assertion fires only on the exit iteration.
-            auto done = finish(rec.nextPc, false, true);
-            return completed ? completed : done;
+            finish(rec.nextPc, false, true, closed);
         }
-        return completed;
+        return closed;
     }
 
     // ---- indirect jumps ---------------------------------------------------
     if (is_indirect) {
-        Uop &jmpi = flow.back();
-        panic_if(jmpi.op != Op::JMPI, "indirect flow must end in JMPI");
+        panic_if(flowScratch_.back().op != Op::JMPI,
+                 "indirect flow must end in JMPI");
         const uint32_t stable = targets_.stableTarget(rec.pc);
+        append(rec, num_uops);
         if (stable != 0 && stable == rec.nextPc) {
-            // Convert to a value assertion on the jump target and keep
-            // building through the return (§3.3).
+            // materialize() converts it to a value assertion on the
+            // jump target; keep building through the return (§3.3).
+            ++curBlock_;
+            return closed;
+        }
+        // Unstable target: the frame ends *with* the indirect jump
+        // (the Figure 2 frame ends with "jump (ET2)").
+        finish(rec.nextPc, true, true, closed);
+        return closed;
+    }
+
+    // ---- direct jumps and calls continue the frame -------------------------
+    append(rec, num_uops);
+    if (in.isControl())
+        ++curBlock_;
+    return closed;
+}
+
+void
+FrameConstructor::materialize(FrameCandidate &cand) const
+{
+    cand.uops.clear();
+    cand.blocks.clear();
+    const size_t n = cand.records.size();
+    uint16_t block = 0;
+    for (size_t i = 0; i < n; ++i) {
+        const TraceRecord &rec = cand.records[i];
+        const x86::Inst &in = rec.inst;
+        const size_t first = cand.uops.size();
+        translator_.translate(in, rec.pc, rec.pc + rec.length, cand.uops);
+        for (size_t k = first; k < cand.uops.size(); ++k)
+            cand.uops[k].instIdx = uint16_t(i);
+        cand.blocks.resize(cand.uops.size(), block);
+
+        // Every conditional branch in a candidate was promoted (an
+        // unbiased one closes the candidate before it).
+        if (in.isCondBranch()) {
+            Uop &br = cand.uops.back();
+            panic_if(br.op != Op::BR, "branch flow must end in BR");
+            br.op = Op::ASSERT;
+            br.cc = rec.taken ? br.cc : x86::invert(br.cc);
+            br.target = 0;
+        } else if (isIndirect(in) && !(cand.dynamicExit && i + 1 == n)) {
+            // Every indirect jump but a dynamic exit had a stable
+            // target equal to the observed one.
+            Uop &jmpi = cand.uops.back();
+            panic_if(jmpi.op != Op::JMPI, "indirect flow must end in JMPI");
             jmpi.op = Op::ASSERT;
             jmpi.cc = x86::Cond::E;
             jmpi.valueAssert = true;
             jmpi.assertOp = Op::CMP;
-            jmpi.imm = int32_t(stable);
-            append(rec, flow);
-            ++curBlock_;
-            return completed;
+            jmpi.imm = int32_t(rec.nextPc);
         }
-        // Unstable target: the frame ends *with* the indirect jump
-        // (the Figure 2 frame ends with "jump (ET2)").
-        append(rec, flow);
-        auto done = finish(rec.nextPc, true, true);
-        return completed ? completed : done;
+        if (in.isControl())
+            ++block;
     }
-
-    // ---- direct jumps and calls continue the frame -------------------------
-    append(rec, flow);
-    if (in.isControl())
-        ++curBlock_;
-    return completed;
+    panic_if(cand.uops.size() != cand.numUops,
+             "materialized %zu uops, shape counted %u", cand.uops.size(),
+             cand.numUops);
 }
 
 } // namespace replay::core

@@ -8,6 +8,15 @@
  * removed as NOPs by the optimizer), and indirect jumps with stable
  * observed targets become value assertions so construction can
  * continue through returns.  Frames span 8 to 256 micro-operations.
+ *
+ * Construction is split in two.  observeShape() runs per retired
+ * instruction and decides where candidates start and end; it keeps
+ * only the shape (PCs, records, µop count, block count).  Most
+ * candidates duplicate a frame the engine already has and are thrown
+ * away, so the µop body is built by materialize() only for the ones
+ * the engine keeps.  Every conversion decision is a function of the
+ * candidate's own records, so materialize() rebuilds exactly the body
+ * the instruction-by-instruction construction would have built.
  */
 
 #ifndef REPLAY_CORE_CONSTRUCTOR_HH
@@ -50,6 +59,8 @@ struct FrameCandidate
     std::vector<uint16_t> blocks;
     std::vector<uint32_t> pcs;
     unsigned numBlocks = 1;
+    /// µops the candidate spans; known before materialize() fills uops.
+    unsigned numUops = 0;
 
     /** The observed instance (alias profiling, verification). */
     std::vector<trace::TraceRecord> records;
@@ -64,16 +75,36 @@ class FrameConstructor
     /**
      * Observe one retired instruction.  Returns a completed candidate
      * when this instruction closed one off (the instruction itself may
-     * have started a fresh accumulation).
+     * have started a fresh accumulation).  observeShape() followed by
+     * materialize().
      */
     std::optional<FrameCandidate> observe(const trace::TraceRecord &rec);
+
+    /**
+     * Observe one retired instruction, tracking only the candidate's
+     * shape: the learning and closing rules of observe(), without the
+     * µop body.  Returns the candidate this instruction closed (uops
+     * and blocks empty, numUops set), or null.  The candidate lives in
+     * constructor-owned storage that stays valid until the next call.
+     * When one instruction closes two candidates, the first is
+     * returned and both count in candidatesEmitted().
+     */
+    FrameCandidate *observeShape(const trace::TraceRecord &rec);
+
+    /**
+     * Build @p cand's µop body (uops, blocks) from its records: each
+     * instruction translated, every conditional branch an assertion
+     * on its observed direction, every indirect jump a value assertion
+     * on its observed target except a dynamic exit's final one.
+     */
+    void materialize(FrameCandidate &cand) const;
 
     /** Discard the current accumulation (pipeline flush, redirect). */
     void abandon();
 
     /**
-     * Return a consumed candidate's storage for reuse.  The sequencer
-     * hands candidates back after depositing the frame so the
+     * Return a consumed candidate's storage for reuse.  Callers of
+     * observe() hand candidates back once done with them so the
      * accumulate -> emit -> recycle cycle stops allocating once the
      * vectors reach their steady-state capacity.
      */
@@ -86,14 +117,16 @@ class FrameConstructor
     uint64_t tooSmallDiscarded() const { return tooSmall_; }
 
   private:
-    /** Close the accumulation; null if below the minimum size. */
-    std::optional<FrameCandidate> finish(uint32_t next_pc,
-                                         bool dynamic_exit,
-                                         bool closed_by_included = false);
+    /**
+     * Close the accumulation.  A candidate below the minimum size is
+     * dropped; otherwise it is counted and, unless this observation
+     * already closed one, moved to done_ and pointed to by @p closed.
+     */
+    void finish(uint32_t next_pc, bool dynamic_exit,
+                bool closed_by_included, FrameCandidate *&closed);
 
-    /** Append one instruction's decode flow to the accumulation. */
-    void append(const trace::TraceRecord &rec,
-                const std::vector<uop::Uop> &flow);
+    /** Add one instruction of @p num_uops µops to the accumulation. */
+    void append(const trace::TraceRecord &rec, unsigned num_uops);
 
     ConstructorConfig cfg_;
     BiasTable bias_;
@@ -101,6 +134,7 @@ class FrameConstructor
     uop::Translator translator_;
 
     FrameCandidate acc_;
+    FrameCandidate done_;               ///< the last closed candidate
     FrameCandidate spare_;              ///< recycled candidate storage
     std::vector<uop::Uop> flowScratch_; ///< per-observe decode flow
     uint16_t curBlock_ = 0;

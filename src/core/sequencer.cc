@@ -100,7 +100,7 @@ RePlayEngine::enqueueCandidate(FrameCandidate &cand, uint64_t now)
 
     uint64_t ready_at = now;
     if (cfg_.optimize) {
-        const auto done = optPipe_.schedule(now, unsigned(cand.uops.size()));
+        const auto done = optPipe_.schedule(now, cand.numUops);
         if (!done) {
             ++stats_.counter("optimizer_drops");
             return;
@@ -113,13 +113,16 @@ RePlayEngine::enqueueCandidate(FrameCandidate &cand, uint64_t now)
     // dropping this candidate — the sequencer keeps serving frames it
     // already has and fetch keeps running conventionally.
     try {
+        // The candidate is kept: only now build its µop body.
+        constructor_.materialize(cand);
+        ++materializedCandidates_;
         // A recycled frame keeps its vector capacities; everything
         // else is reassigned below, and the optimizer overwrites body
         // wholesale.
         FramePtr frame = framePool_.acquire();
         frame->id = nextFrameId_++;
         frame->startPc = cand.startPc;
-        frame->pcs = cand.pcs;  // copy: the candidate's buffer recycles
+        frame->pcs = cand.pcs;  // copy: the constructor reuses its buffer
         frame->nextPc = cand.nextPc;
         frame->dynamicExit = cand.dynamicExit;
         frame->numBlocks = cand.numBlocks;
@@ -188,7 +191,7 @@ RePlayEngine::enqueueCandidate(FrameCandidate &cand, uint64_t now)
 }
 
 void
-RePlayEngine::drainReady(uint64_t now)
+RePlayEngine::drainDue(uint64_t now)
 {
     drainTier();
     while (!pending_.empty() && pending_.front().readyAt <= now) {
@@ -212,11 +215,8 @@ void
 RePlayEngine::observeRetired(const trace::TraceRecord &rec, uint64_t now)
 {
     drainReady(now);
-    auto candidate = constructor_.observe(rec);
-    if (candidate) {
+    if (FrameCandidate *candidate = constructor_.observeShape(rec))
         enqueueCandidate(*candidate, now);
-        constructor_.recycle(std::move(*candidate));
-    }
 }
 
 FramePtr

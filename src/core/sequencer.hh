@@ -105,7 +105,17 @@ class RePlayEngine
     void observeRetired(const trace::TraceRecord &rec, uint64_t now);
 
     /** Deposit any frames whose optimization completed by @p now. */
-    void drainReady(uint64_t now);
+    void
+    drainReady(uint64_t now)
+    {
+        // Called before every retired instruction and frame lookup;
+        // with no tier engine, no governor and no frame due there is
+        // nothing to deposit, publish or report.
+        if (!tier_ && !cfg_.governor &&
+            (pending_.empty() || pending_.front().readyAt > now))
+            return;
+        drainDue(now);
+    }
 
     /** Frame starting at @p pc available for fetch at @p now. */
     FramePtr frameFor(uint32_t pc, uint64_t now);
@@ -146,6 +156,9 @@ class RePlayEngine
   private:
     void enqueueCandidate(FrameCandidate &cand, uint64_t now);
 
+    /** drainReady() past its fast path. */
+    void drainDue(uint64_t now);
+
     /** Re-optimize a committed cheap-tier frame once it is hot. */
     void maybeScheduleReopt(const FramePtr &frame);
 
@@ -179,6 +192,10 @@ class RePlayEngine
     // lookup per increment.
     Counter &candidates_{stats_.counter("candidates")};
     Counter &duplicateCandidates_{stats_.counter("duplicate_candidates")};
+    // Candidates whose µop body was built (work counter; not part of
+    // RunStats or any fingerprint).
+    Counter &materializedCandidates_{
+        stats_.counter("materialized_candidates")};
     Counter &frameCommits_{stats_.counter("frame_commits")};
     Counter &assertFires_{stats_.counter("assert_fires")};
     // Degradation-ladder counters (all zero while ungoverned).

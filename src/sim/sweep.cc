@@ -67,7 +67,8 @@ runSweep(const std::vector<SweepCell> &cells, const SweepOptions &opts)
     // Corpus resolution: a hit replays the recorded container, a miss
     // re-synthesizes.  Either way the record stream is identical (the
     // manifest digest pins it), so the choice only affects speed —
-    // except a *corrupt* hit, which throws instead of degrading.
+    // except a *corrupt* hit, which throws instead of degrading: at
+    // open, or after the run when the container failed mid-stream.
     std::atomic<unsigned> corpus_hits{0}, corpus_misses{0};
     auto openTaskTrace =
         [&](const Task &task) -> std::unique_ptr<trace::TraceSource> {
@@ -133,6 +134,11 @@ runSweep(const std::vector<SweepCell> &cells, const SweepOptions &opts)
             auto src = openTaskTrace(task);
             slots[i] = simulateTrace(cfg, *src,
                                      task.cell->workload->name);
+            // A damaged trace ends early with done() like a whole one;
+            // its figures cover only the valid prefix.
+            if (!src->error().ok())
+                throw std::runtime_error("trace failed mid-stream: " +
+                                         src->error().describe());
         } catch (const CancelledError &e) {
             throw CancelledError(context() + ": " + e.what());
         } catch (const std::exception &e) {

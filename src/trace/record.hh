@@ -17,6 +17,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "trace/error.hh"
 #include "x86/executor.hh"
 #include "x86/inst.hh"
 
@@ -85,6 +86,19 @@ class TraceSource
 
     /** Records consumed so far. */
     virtual uint64_t consumed() const = 0;
+
+    /**
+     * Why the stream stopped early, or NONE (always, for in-memory and
+     * synthesized sources).  A source that fails mid-stream reports
+     * done() at its valid prefix; only this tells a damaged trace from
+     * one that ended.
+     */
+    virtual const TraceError &
+    error() const
+    {
+        static const TraceError none;
+        return none;
+    }
 };
 
 /** A TraceSource over an in-memory vector (tests, verifier replays). */

@@ -7,13 +7,18 @@
 
 #include <gtest/gtest.h>
 
+#include <memory>
+#include <optional>
+
 #include "core/aliasprofile.hh"
 #include "core/biastable.hh"
 #include "core/constructor.hh"
 #include "core/framecache.hh"
 #include "core/sequencer.hh"
+#include "trace/chunk.hh"
 #include "trace/tracer.hh"
 #include "trace/workload.hh"
+#include "util/logging.hh"
 #include "util/rng.hh"
 #include "x86/asmbuilder.hh"
 
@@ -1011,4 +1016,500 @@ TEST(RePlayEngine, SustainedChurnUnderTinyCacheStaysConsistent)
     EXPECT_EQ(engine.cache().numFrames(),
               inserts - evictions - invalidations);
     (void)served;
+}
+
+// ---------------------------------------------------------------------
+// Shape-then-materialize construction against the eager constructor
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * The frame constructor as it was before construction was split into
+ * observeShape() and materialize(): every instruction is translated,
+ * converted and copied into the accumulation as it retires.  Kept
+ * verbatim (renamed) as the reference the split constructor must
+ * reproduce field for field.
+ */
+class EagerConstructor
+{
+  public:
+    explicit EagerConstructor(ConstructorConfig cfg = {})
+        : cfg_(cfg),
+          bias_(cfg.biasEntries, cfg.biasMinSamples, cfg.biasPromoteNum,
+                cfg.biasPromoteDen),
+          targets_(cfg.targetEntries, cfg.targetStableThreshold)
+    {
+    }
+
+    std::optional<FrameCandidate>
+    observe(const TraceRecord &rec)
+    {
+        using uop::Op;
+        using uop::Uop;
+        using x86::Mnem;
+        const x86::Inst &in = rec.inst;
+
+        // ---- learning ----------------------------------------------
+        if (in.isCondBranch())
+            bias_.record(rec.pc, rec.taken);
+        const bool is_indirect =
+            (in.mnem == Mnem::JMP && in.form != x86::Form::REL) ||
+            (in.mnem == Mnem::CALL && in.form != x86::Form::REL) ||
+            in.mnem == Mnem::RET;
+        if (is_indirect)
+            targets_.record(rec.pc, rec.nextPc);
+
+        // ---- hard frame terminators ----------------------------------
+        if (in.mnem == Mnem::LONGFLOW)
+            return finish(rec.pc, false);
+
+        flowScratch_.clear();
+        translator_.translate(in, rec.pc, rec.pc + rec.length,
+                              flowScratch_);
+        std::vector<Uop> &flow = flowScratch_;
+
+        // ---- size limit ----------------------------------------------
+        std::optional<FrameCandidate> completed;
+        if (acc_.uops.size() + flow.size() > cfg_.maxUops)
+            completed = finish(rec.pc, false);
+
+        // ---- conditional branches -----------------------------------
+        if (in.isCondBranch()) {
+            const BranchBias bb = bias_.classify(rec.pc);
+            const bool promotable =
+                (bb == BranchBias::BIASED_TAKEN && rec.taken) ||
+                (bb == BranchBias::BIASED_NOT_TAKEN && !rec.taken);
+            if (!promotable) {
+                auto before = finish(rec.pc, false);
+                return completed ? completed : before;
+            }
+            Uop &br = flow.back();
+            panic_if(br.op != Op::BR, "branch flow must end in BR");
+            const uint32_t taken_target = br.target;
+            br.op = Op::ASSERT;
+            br.cc = rec.taken ? br.cc : x86::invert(br.cc);
+            br.target = 0;
+            const bool backward = rec.taken && taken_target <= rec.pc;
+            append(rec, flow);
+            ++curBlock_;
+            if (backward) {
+                auto done = finish(rec.nextPc, false, true);
+                return completed ? completed : done;
+            }
+            return completed;
+        }
+
+        // ---- indirect jumps -------------------------------------------
+        if (is_indirect) {
+            Uop &jmpi = flow.back();
+            panic_if(jmpi.op != Op::JMPI, "indirect flow must end in JMPI");
+            const uint32_t stable = targets_.stableTarget(rec.pc);
+            if (stable != 0 && stable == rec.nextPc) {
+                jmpi.op = Op::ASSERT;
+                jmpi.cc = x86::Cond::E;
+                jmpi.valueAssert = true;
+                jmpi.assertOp = Op::CMP;
+                jmpi.imm = int32_t(stable);
+                append(rec, flow);
+                ++curBlock_;
+                return completed;
+            }
+            append(rec, flow);
+            auto done = finish(rec.nextPc, true, true);
+            return completed ? completed : done;
+        }
+
+        // ---- direct jumps and calls continue the frame -----------------
+        append(rec, flow);
+        if (in.isControl())
+            ++curBlock_;
+        return completed;
+    }
+
+    void
+    recycle(FrameCandidate &&cand)
+    {
+        clearCandidate(cand);
+        spare_ = std::move(cand);
+    }
+
+    uint64_t candidatesEmitted() const { return emitted_; }
+    uint64_t tooSmallDiscarded() const { return tooSmall_; }
+
+  private:
+    static void
+    clearCandidate(FrameCandidate &cand)
+    {
+        cand.startPc = 0;
+        cand.nextPc = 0;
+        cand.dynamicExit = false;
+        cand.closedByIncludedInst = false;
+        cand.numBlocks = 1;
+        cand.uops.clear();
+        cand.blocks.clear();
+        cand.pcs.clear();
+        cand.records.clear();
+    }
+
+    void
+    abandon()
+    {
+        clearCandidate(acc_);
+        curBlock_ = 0;
+    }
+
+    std::optional<FrameCandidate>
+    finish(uint32_t next_pc, bool dynamic_exit,
+           bool closed_by_included = false)
+    {
+        if (acc_.uops.empty()) {
+            abandon();
+            return std::nullopt;
+        }
+        if (acc_.uops.size() < cfg_.minUops) {
+            ++tooSmall_;
+            abandon();
+            return std::nullopt;
+        }
+        FrameCandidate out = std::move(acc_);
+        out.nextPc = next_pc;
+        out.dynamicExit = dynamic_exit;
+        out.closedByIncludedInst = closed_by_included;
+        out.numBlocks = curBlock_ + 1;
+        acc_ = std::move(spare_);
+        spare_ = FrameCandidate{};
+        abandon();
+        ++emitted_;
+        return out;
+    }
+
+    void
+    append(const TraceRecord &rec, const std::vector<uop::Uop> &flow)
+    {
+        if (acc_.uops.empty())
+            acc_.startPc = rec.pc;
+        const uint16_t inst_idx = uint16_t(acc_.pcs.size());
+        for (const auto &u : flow) {
+            acc_.blocks.push_back(curBlock_);
+            acc_.uops.push_back(u);
+            acc_.uops.back().instIdx = inst_idx;
+        }
+        acc_.pcs.push_back(rec.pc);
+        acc_.records.push_back(rec);
+    }
+
+    ConstructorConfig cfg_;
+    BiasTable bias_;
+    TargetTable targets_;
+    uop::Translator translator_;
+    FrameCandidate acc_;
+    FrameCandidate spare_;
+    std::vector<uop::Uop> flowScratch_;
+    uint16_t curBlock_ = 0;
+    uint64_t emitted_ = 0;
+    uint64_t tooSmall_ = 0;
+};
+
+bool
+isIndirectInst(const x86::Inst &in)
+{
+    using x86::Mnem;
+    return (in.mnem == Mnem::JMP && in.form != x86::Form::REL) ||
+           (in.mnem == Mnem::CALL && in.form != x86::Form::REL) ||
+           in.mnem == Mnem::RET;
+}
+
+std::vector<uint8_t>
+recordBytes(const TraceRecord &rec)
+{
+    uint8_t buf[trace::wire::MAX_RECORD_BYTES];
+    return std::vector<uint8_t>(buf,
+                                buf + trace::wire::encodeRecord(rec, buf));
+}
+
+/** Every field of @p got equals @p want's; false (and a failure) if not. */
+bool
+sameCandidate(const FrameCandidate &got, const FrameCandidate &want,
+              const std::string &where)
+{
+    bool same = got.startPc == want.startPc && got.nextPc == want.nextPc &&
+                got.dynamicExit == want.dynamicExit &&
+                got.closedByIncludedInst == want.closedByIncludedInst &&
+                got.numBlocks == want.numBlocks &&
+                got.numUops == want.uops.size() && got.uops == want.uops &&
+                got.blocks == want.blocks && got.pcs == want.pcs &&
+                got.records.size() == want.records.size();
+    for (size_t i = 0; same && i < got.records.size(); ++i)
+        same = recordBytes(got.records[i]) == recordBytes(want.records[i]);
+    if (!same) {
+        ADD_FAILURE() << where << ": candidate at 0x" << std::hex
+                      << want.startPc << std::dec << " (" << want.uops.size()
+                      << " uops, " << want.pcs.size()
+                      << " insts) differs from the eager constructor's";
+    }
+    return same;
+}
+
+/** Which of the constructor's edge cases a stream exercised. */
+struct EdgeCoverage
+{
+    uint64_t candidates = 0;
+    uint64_t longflowCloses = 0;    ///< closed by a LONGFLOW record
+    uint64_t backwardCloses = 0;    ///< ends with a loop back-edge assert
+    uint64_t dynamicExits = 0;      ///< ends with an unstable indirect
+    uint64_t stableIndirectBySize = 0; ///< stable indirect last, size close
+    uint64_t exactlyMinUops = 0;
+    uint64_t doubleCloses = 0;      ///< one record closed two candidates
+};
+
+/**
+ * Feed @p records to the eager reference, to observeShape() +
+ * materialize() and to observe(); every candidate and both counts must
+ * agree.  Stops at the first divergence.
+ */
+EdgeCoverage
+expectEquivalent(trace::TraceSource &src, const ConstructorConfig &cfg,
+                 const std::string &label)
+{
+    EagerConstructor ref(cfg);
+    FrameConstructor split(cfg);
+    FrameConstructor eager_api(cfg);
+    EdgeCoverage cov;
+    uint64_t n = 0;
+    for (; !src.done(); src.advance(), ++n) {
+        const TraceRecord &rec = *src.peek();
+        const std::string where = label + " record " + std::to_string(n);
+        const uint64_t emitted_before = ref.candidatesEmitted();
+        std::optional<FrameCandidate> want = ref.observe(rec);
+        FrameCandidate *got = split.observeShape(rec);
+        std::optional<FrameCandidate> via_observe = eager_api.observe(rec);
+        if (want.has_value() != (got != nullptr) ||
+            want.has_value() != via_observe.has_value()) {
+            ADD_FAILURE() << where << ": a candidate closed on one path only";
+            return cov;
+        }
+        if (ref.candidatesEmitted() - emitted_before == 2)
+            ++cov.doubleCloses;
+        if (!want)
+            continue;
+        split.materialize(*got);
+        if (!sameCandidate(*got, *want, where + " (observeShape)") ||
+            !sameCandidate(*via_observe, *want, where + " (observe)"))
+            return cov;
+        eager_api.recycle(std::move(*via_observe));
+
+        ++cov.candidates;
+        const x86::Inst &last = want->records.back().inst;
+        cov.longflowCloses += rec.inst.mnem == x86::Mnem::LONGFLOW;
+        cov.backwardCloses +=
+            want->closedByIncludedInst && last.isCondBranch();
+        cov.dynamicExits += want->dynamicExit;
+        cov.stableIndirectBySize +=
+            !want->dynamicExit && isIndirectInst(last) &&
+            !rec.inst.isCondBranch() &&
+            rec.inst.mnem != x86::Mnem::LONGFLOW;
+        cov.exactlyMinUops += want->uops.size() == cfg.minUops;
+        ref.recycle(std::move(*want));
+    }
+    EXPECT_EQ(split.candidatesEmitted(), ref.candidatesEmitted()) << label;
+    EXPECT_EQ(split.tooSmallDiscarded(), ref.tooSmallDiscarded()) << label;
+    EXPECT_EQ(eager_api.candidatesEmitted(), ref.candidatesEmitted())
+        << label;
+    EXPECT_EQ(eager_api.tooSmallDiscarded(), ref.tooSmallDiscarded())
+        << label;
+    return cov;
+}
+
+/**
+ * Hand-built record streams over a small program holding one
+ * instruction of every kind the constructor treats specially.  The
+ * records need not be an execution of the program: the constructor
+ * reads only each record's instruction, PC, length, direction and
+ * next PC.
+ */
+class EdgeStream
+{
+  public:
+    EdgeStream()
+    {
+        AsmBuilder b;
+        b.label("top");
+        for (unsigned i = 0; i < ALUS; ++i) {
+            alu_[i] = b.here();
+            b.addRI(Reg::EAX, int32_t(i + 1));
+        }
+        back_ = b.here();
+        b.jcc(Cond::NE, "top");
+        fwd_ = b.here();
+        b.jcc(Cond::E, "after");
+        b.label("after");
+        ret_ = b.here();
+        b.ret();
+        jmpr_ = b.here();
+        b.jmpR(Reg::EBX);
+        callr_ = b.here();
+        b.callR(Reg::EBX);
+        longflow_ = b.here();
+        b.longflow();
+        prog_ = std::make_unique<x86::Program>(b.build());
+    }
+
+    static constexpr unsigned ALUS = 300;
+
+    /** µops of one ALU / RET / indirect CALL instruction. */
+    unsigned aluUops() const { return uopsAt(alu_[0]); }
+    unsigned retUops() const { return uopsAt(ret_); }
+    unsigned callRUops() const { return uopsAt(callr_); }
+
+    /** @p count straight-line ALU records. */
+    void
+    alus(unsigned count)
+    {
+        for (unsigned i = 0; i < count; ++i)
+            push(alu_[(next_++) % ALUS], 0, false);
+    }
+    void backEdge(bool taken) { push(back_, 0, taken); }
+    void forward(bool taken) { push(fwd_, 0, taken); }
+    void ret(uint32_t target) { push(ret_, target, true); }
+    void jmpR(uint32_t target) { push(jmpr_, target, true); }
+    void callR(uint32_t target) { push(callr_, target, true); }
+    void longflow() { push(longflow_, 0, false); }
+
+    trace::VectorTraceSource
+    source() const
+    {
+        return trace::VectorTraceSource(records_);
+    }
+
+  private:
+    unsigned
+    uopsAt(uint32_t pc) const
+    {
+        const auto &placed = prog_->at(pc);
+        return unsigned(uop::Translator().translate(placed.inst, pc,
+                                                    pc + placed.length)
+                            .size());
+    }
+
+    void
+    push(uint32_t pc, uint32_t next_pc, bool taken)
+    {
+        const auto &placed = prog_->at(pc);
+        TraceRecord rec;
+        rec.pc = pc;
+        rec.inst = placed.inst;
+        rec.length = uint8_t(placed.length);
+        rec.taken = taken;
+        rec.nextPc = next_pc ? next_pc : pc + placed.length;
+        if (taken && placed.inst.isCondBranch())
+            rec.nextPc = pc == back_ ? alu_[0] : ret_;
+        records_.push_back(rec);
+    }
+
+    std::unique_ptr<x86::Program> prog_;
+    uint32_t alu_[ALUS] = {};
+    uint32_t back_ = 0, fwd_ = 0, ret_ = 0, jmpr_ = 0, callr_ = 0;
+    uint32_t longflow_ = 0;
+    unsigned next_ = 0;
+    std::vector<TraceRecord> records_;
+};
+
+} // namespace
+
+TEST(FrameConstructorEquivalence, StandardTracesMatchEagerConstruction)
+{
+    unsigned traces = 0;
+    EdgeCoverage total;
+    for (const trace::Workload &w : trace::standardWorkloads()) {
+        for (unsigned t = 0; t < w.numTraces; ++t, ++traces) {
+            auto src = w.openTrace(t, 100000);
+            const EdgeCoverage cov = expectEquivalent(
+                *src, {}, std::string(w.name) + "." + std::to_string(t));
+            total.candidates += cov.candidates;
+            total.dynamicExits += cov.dynamicExits;
+            total.backwardCloses += cov.backwardCloses;
+        }
+    }
+    EXPECT_EQ(traces, 24u);
+    EXPECT_GT(total.candidates, 10000u);
+    EXPECT_GT(total.dynamicExits, 0u);
+    EXPECT_GT(total.backwardCloses, 0u);
+}
+
+TEST(FrameConstructorEquivalence, HandBuiltEdgeStreamsMatchEagerConstruction)
+{
+    const ConstructorConfig cfg;    // minUops 8, maxUops 256
+    EdgeStream s;
+    ASSERT_EQ(cfg.minUops % s.aluUops(), 0u) << "exact-minUops case";
+    const unsigned fill =
+        (cfg.maxUops - s.retUops()) / s.aluUops(); // RET lands at the cap
+    ASSERT_EQ(fill * s.aluUops() + s.retUops(), cfg.maxUops);
+    for (unsigned rep = 0; rep < 60; ++rep) {
+        // A RET whose target turns stable after targetStableThreshold
+        // repeats, followed by the ALU that overflows the size limit:
+        // first dynamic exits, then stable value asserts as the last
+        // instruction of a size-limited candidate.
+        s.longflow();
+        s.alus(fill);
+        s.ret(0x00401000);
+        s.alus(4);
+        // An indirect jump whose target never settles: always the
+        // dynamic exit of its candidate.
+        s.longflow();
+        s.alus(12);
+        s.jmpR(rep % 2 ? 0x00402000 : 0x00403000);
+        // A loop back-edge (promoted once the bias table has its
+        // samples; before that it closes the candidate in front of it),
+        // with a biased forward branch inside.
+        s.longflow();
+        s.alus(6);
+        s.forward(false);
+        s.alus(6);
+        s.backEdge(true);
+        // Exactly minUops, and one µop short of it.
+        s.longflow();
+        s.alus(cfg.minUops / s.aluUops());
+        s.longflow();
+        s.alus(cfg.minUops / s.aluUops() - 1);
+    }
+    auto src = s.source();
+    const EdgeCoverage cov = expectEquivalent(src, cfg, "edge/default");
+    EXPECT_GT(cov.stableIndirectBySize, 0u);
+    EXPECT_GT(cov.dynamicExits, 0u);
+    EXPECT_GT(cov.longflowCloses, 0u);
+    EXPECT_GT(cov.backwardCloses, 0u);
+    EXPECT_GT(cov.exactlyMinUops, 0u);
+
+    // Small frames: an unstable RET that overflows the size limit
+    // closes the accumulation in front of it and then, alone, a
+    // dynamic-exit candidate of its own.
+    ConstructorConfig small;
+    small.minUops = 2;
+    small.maxUops = 12;
+    small.biasMinSamples = 4;
+    small.targetStableThreshold = 2;
+    EdgeStream t;
+    ASSERT_GE(t.retUops(), small.minUops);
+    ASSERT_LT(t.callRUops(), small.maxUops);
+    ASSERT_EQ((small.maxUops - t.callRUops()) % t.aluUops(), 0u);
+    for (unsigned rep = 0; rep < 60; ++rep) {
+        t.longflow();
+        t.alus(small.maxUops / t.aluUops());
+        t.ret(rep % 2 ? 0x00402000 : 0x00403000);
+        // A stable indirect call filling the candidate to the cap.
+        t.longflow();
+        t.alus((small.maxUops - t.callRUops()) / t.aluUops());
+        t.callR(0x00401000);
+        t.alus(2);
+        // A back-edge behind a full accumulation.
+        t.alus(small.maxUops);
+        t.backEdge(true);
+    }
+    auto small_src = t.source();
+    const EdgeCoverage small_cov =
+        expectEquivalent(small_src, small, "edge/small");
+    EXPECT_GT(small_cov.doubleCloses, 0u);
+    EXPECT_GT(small_cov.stableIndirectBySize, 0u);
+    EXPECT_GT(small_cov.dynamicExits, 0u);
 }

@@ -326,3 +326,47 @@ TEST(Simulator, TimingRingProbesArePinned)
             << machineName(pin.machine);
     }
 }
+
+// Work counter for frame construction: on gzip.0 at 100k instructions
+// the constructor closes 7382 candidates and the engine keeps 12 (the
+// rest duplicate a cached or pending frame at least as long; RPO's
+// five extra are optimizer-pipeline drops), and only kept candidates
+// get a µop body.  A change that moves these counts changes how much
+// construction work is done and must say why.
+TEST(Simulator, CandidateWorkCountersArePinned)
+{
+    struct Pin
+    {
+        Machine machine;
+        uint64_t emitted;
+        uint64_t duplicates;
+        uint64_t materialized;
+    };
+    const Pin pins[] = {
+        {Machine::RP, 7382, 7370, 12},
+        {Machine::RPO, 7382, 7365, 12},
+    };
+    for (const Pin &pin : pins) {
+        auto src = trace::findWorkload("gzip").openTrace(0, 100000);
+        Simulator sim(SimConfig::make(pin.machine));
+        sim.run(*src);
+        core::RePlayEngine &engine = *sim.engine();
+        const uint64_t materialized =
+            engine.stats().get("materialized_candidates");
+        EXPECT_EQ(engine.constructor().candidatesEmitted(), pin.emitted)
+            << machineName(pin.machine);
+        EXPECT_EQ(engine.stats().get("duplicate_candidates"),
+                  pin.duplicates)
+            << machineName(pin.machine);
+        EXPECT_EQ(materialized, pin.materialized)
+            << machineName(pin.machine);
+        EXPECT_EQ(materialized, engine.stats().get("candidates"))
+            << machineName(pin.machine);
+        // Every emitted candidate is either a duplicate, dropped by a
+        // saturated optimizer pipeline, or kept.
+        EXPECT_EQ(engine.constructor().candidatesEmitted(),
+                  pin.duplicates + engine.stats().get("optimizer_drops") +
+                      materialized)
+            << machineName(pin.machine);
+    }
+}

@@ -13,7 +13,10 @@
 #include <numeric>
 #include <stdexcept>
 
+#include "fault/faultinjector.hh"
 #include "sim/sweep.hh"
+#include "trace/tracer.hh"
+#include "trace/tracev3.hh"
 #include "util/logging.hh"
 #include "util/threadpool.hh"
 
@@ -187,6 +190,74 @@ TEST(Sweep, MatchesSerialRunner)
             EXPECT_EQ(sweep.cells[i].fingerprint(), serial.fingerprint())
                 << name << "/" << machineName(m);
             ++i;
+        }
+    }
+}
+
+TEST(Sweep, TraceDamagedMidStreamFailsTheTask)
+{
+    // A corpus whose gzip.0 container has one payload byte of chunk 3
+    // flipped: it opens cleanly (header, index and static table are
+    // intact) and fails its checksum only when replay reaches the
+    // chunk, after 3000 good records.
+    const std::string dir = ::testing::TempDir();
+    const std::string manifest = dir + "midstream.json";
+    const trace::Workload &w = trace::findWorkload("gzip");
+    const uint64_t insts = 6000;
+    trace::V3Options v3;
+    v3.chunkRecords = 1000;
+    v3.codec = trace::V3Codec::RAW;
+    std::vector<trace::CorpusEntry> entries;
+    for (unsigned t = 0; t < w.numTraces; ++t) {
+        const x86::Program prog = w.buildProgram(t);
+        trace::CorpusEntry e;
+        e.id = "gzip." + std::to_string(t);
+        e.workload = "gzip";
+        e.traceIdx = t;
+        e.records = insts;
+        e.file = "midstream." + e.id + ".rpl3";
+        trace::TraceV3Writer::dumpProgram(prog, insts, dir + e.file, v3);
+        trace::ExecutorTraceSource live(prog, insts);
+        e.digest = trace::wire::streamDigest(live);
+        entries.push_back(e);
+    }
+    ASSERT_TRUE(trace::writeCorpusManifest(manifest, entries).ok());
+    trace::clearTraceQuarantine();
+    const trace::TraceCorpus corpus = trace::TraceCorpus::load(manifest);
+    ASSERT_TRUE(corpus.ok()) << corpus.error().describe();
+
+    SweepOptions opts;
+    opts.jobs = 2;
+    opts.instsPerTrace = insts;
+    opts.warmup = false;
+    opts.corpus = &corpus;
+    const auto cells =
+        gridCells({&w}, {{"RP", SimConfig::make(Machine::RP)}});
+    SweepOptions live = opts;
+    live.corpus = nullptr;
+    const auto clean = runSweep(cells, opts);
+    EXPECT_EQ(clean.corpusHits, w.numTraces);
+    EXPECT_EQ(clean.digest(), runSweep(cells, live).digest());
+
+    const std::string victim =
+        corpus.resolvePath(*corpus.findById("gzip.0"));
+    const trace::V3Info info = trace::inspectV3(victim);
+    ASSERT_TRUE(info.ok()) << info.error.describe();
+    ASSERT_GT(info.chunks.size(), 3u);
+    ASSERT_TRUE(fault::FaultInjector::flipByteAt(
+        victim, info.chunks[3].offset + trace::v4::CHUNK_HEADER_BYTES +
+                    info.chunks[3].payloadBytes / 2));
+    try {
+        (void)runSweep(cells, opts);
+        FAIL() << "a sweep over a trace damaged mid-stream completed";
+    } catch (const std::runtime_error &e) {
+        const std::string what = e.what();
+        for (const std::string &part :
+             {std::string("workload=gzip"), std::string("trace=0"),
+              std::string("bad_checksum"), victim,
+              std::string("chunk 3")}) {
+            EXPECT_NE(what.find(part), std::string::npos)
+                << "'" << part << "' missing from: " << what;
         }
     }
 }

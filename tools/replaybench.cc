@@ -39,6 +39,7 @@
 #include <cstdio>
 #include <cstdlib>
 #include <cstring>
+#include <exception>
 #include <string>
 #include <vector>
 
@@ -375,9 +376,17 @@ main(int argc, char **argv)
     double wall_total = 0;
     bool first = true;
     for (const Target *target : selected) {
-        const auto result =
-            sim::runSweep(sim::gridCells(target->rows, target->cols),
-                          opts);
+        sim::SweepResult result;
+        try {
+            result = sim::runSweep(
+                sim::gridCells(target->rows, target->cols), opts);
+        } catch (const std::exception &e) {
+            // A failed task (e.g. a corpus trace damaged mid-stream)
+            // fails the run instead of printing a partial figure.
+            std::fflush(stdout);
+            std::fprintf(stderr, "replaybench: %s\n", e.what());
+            return 1;
+        }
         wall_total += result.wallSeconds;
         if (json)
             emitJson(*target, result, first);
