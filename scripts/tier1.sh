@@ -141,7 +141,7 @@ echo "== tier-1: chaos-smoke under ASan+UBSan (${ASAN_BUILD}) =="
 if [ "${REPLAY_SKIP_CHAOS:-0}" = "1" ]; then
     echo "warn: REPLAY_SKIP_CHAOS=1; skipping the chaos/soak stage"
 else
-    # Robustness suite (governor, degradation ladder, cancellation,
+    # Robustness suite (thread-pool failure semantics, cancellation,
     # watchdog) plus a small chaosrunner campaign, both under
     # ASan+UBSan so injected faults cannot hide memory errors.  The
     # Debug build also arms the ranked lock-hierarchy checker

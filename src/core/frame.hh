@@ -22,18 +22,6 @@
 
 namespace replay::core {
 
-/**
- * Optimization tier of a cached frame body.  CHEAP bodies were
- * admitted with the fast pass subset and are candidates for tiered
- * re-optimization; FULL bodies have had the whole pipeline (either at
- * admission, or republished by the tier engine).
- */
-enum class FrameTier : uint8_t
-{
-    FULL = 0,
-    CHEAP = 1,
-};
-
 /** Identity of a memory access: which frame instruction, which access. */
 struct MemRef
 {
@@ -78,18 +66,6 @@ struct Frame
 
     /** Stores marked unsafe by speculative memory optimization. */
     std::vector<MemRef> unsafeStores;
-
-    /** Which optimization tier produced the current body. */
-    FrameTier tier = FrameTier::FULL;
-
-    /**
-     * Publication generation: 0 for the admitted body, bumped each
-     * time the tier engine republishes a re-optimized body for this
-     * start PC.  Together with `id` this versions the cache slot: a
-     * re-optimized result is only published while the cached frame
-     * still carries the id it was built from.
-     */
-    uint32_t generation = 0;
 
     // -- usage statistics (updated by the sequencer) -----------------
     uint64_t fetches = 0;

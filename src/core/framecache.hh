@@ -15,16 +15,6 @@
  * rarer than lookups and the table is small (<= capacity/minUops
  * frames).
  *
- * Resource governance: when a ResourceGovernor is attached the cache
- * reports its live footprint (frame bodies + index) on every
- * occupancy change, and exposes shedLru()/shedToUops() so the engine
- * can evict down to budget under memory pressure.  One frame may be
- * *pinned* — the frame the fetch engine is currently sequencing —
- * and neither shedding nor ordinary capacity eviction will victimize
- * it (the shared_ptr keeps the object alive regardless; pinning keeps
- * the cache *entry*, so an in-flight frame cannot be re-requested as
- * a candidate and rebuilt while it executes).
- *
  * The cache is single-owner (the sequencer thread) and takes no lock:
  * a lock on the per-instruction lookup path would be pure overhead.
  */
@@ -36,7 +26,6 @@
 
 #include "core/frame.hh"
 #include "util/flathash.hh"
-#include "util/governor.hh"
 #include "util/stats.hh"
 
 namespace replay::core {
@@ -49,9 +38,8 @@ class FrameCache
 
     /**
      * Insert (or replace) a frame.  Evicts least-recently-used frames
-     * until the new frame fits.  Frames larger than the whole cache —
-     * or that cannot fit without evicting the pinned frame — are
-     * rejected.
+     * until the new frame fits.  Frames larger than the whole cache
+     * are rejected.
      */
     void insert(FramePtr frame);
 
@@ -64,58 +52,6 @@ class FrameCache
     /** Remove the frame at @p pc (e.g. after repeated assert fires). */
     void invalidate(uint32_t pc);
 
-    /**
-     * Versioned-slot swap for the tier engine: replace the body of the
-     * *resident* entry at @p pc with @p next without touching its LRU
-     * tick (publication is not a use).  The entry must exist and must
-     * not be pinned — the caller defers publication while the
-     * sequencer holds the frame.  Returns false (entry unchanged) if
-     * the replacement would overflow capacity; re-optimized bodies
-     * only shrink, so this is a chaos-only edge.
-     */
-    bool publish(uint32_t pc, FramePtr next);
-
-    /** Is the entry at @p pc the pinned (in-flight) one? */
-    bool
-    isPinned(uint32_t pc) const
-    {
-        return pinnedValid_ && pinnedPc_ == pc;
-    }
-
-    /**
-     * Pin the entry at @p pc (the frame being sequenced): it cannot be
-     * shed or evicted until unpin().  At most one entry is pinned.
-     */
-    void pin(uint32_t pc);
-    void unpin();
-
-    /** Evict the unpinned LRU frame; false if none is evictable. */
-    bool shedLru();
-
-    /**
-     * Evict unpinned LRU frames until occupancy <= @p target_uops.
-     * Returns the number of frames shed.  The pinned frame is never a
-     * victim, so the post-condition is occupancy <= max(target, pinned
-     * frame size).
-     */
-    unsigned shedToUops(unsigned target_uops);
-
-    /** Attach a governor; the cache reports footprint changes to it. */
-    void setGovernor(ResourceGovernor *governor);
-
-    /** Live footprint: frame bodies, path metadata, and the index. */
-    size_t memoryBytes() const;
-
-    /** Occupancy recounted by walking the table (audit path). */
-    unsigned recountUops() const;
-
-    /**
-     * memoryBytes() recomputed from a direct recount rather than the
-     * incremental occupied_ model; tests assert the two agree after
-     * insert/publish/evict churn.
-     */
-    size_t auditBytes() const;
-
     unsigned occupiedUops() const { return occupied_; }
 
     unsigned capacityUops() const { return capacity_; }
@@ -125,16 +61,8 @@ class FrameCache
     StatGroup &stats() { return stats_; }
 
   private:
-    /**
-     * Fixed per-frame charge in the byte model: the frame header plus
-     * path metadata, conservatively folded into one constant so the
-     * model stays O(1) and deterministic.
-     */
-    static constexpr size_t PER_FRAME_OVERHEAD = sizeof(Frame) + 256;
-
-    /** Evict the unpinned LRU entry; false if nothing is evictable. */
-    bool evictLru(const char *counter);
-    void syncGovernor();
+    /** Evict the least-recently-used entry (the table is non-empty). */
+    void evictLru();
 
     struct Entry
     {
@@ -146,10 +74,6 @@ class FrameCache
     unsigned occupied_ = 0;
     uint64_t tick_ = 0;
     FlatMap<uint32_t, Entry> frames_;
-    bool pinnedValid_ = false;
-    uint32_t pinnedPc_ = 0;
-    ResourceGovernor *governor_ = nullptr;
-    unsigned governorId_ = 0;
     StatGroup stats_{"fcache"};
     Counter &hits_{stats_.counter("hits")};
     Counter &misses_{stats_.counter("misses")};

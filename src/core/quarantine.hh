@@ -49,9 +49,6 @@ class Quarantine
 
     size_t size() const { return entries_.size(); }
 
-    /** Live table footprint (governor accounting). */
-    size_t memoryBytes() const { return entries_.memoryBytes(); }
-
     StatGroup &stats() { return stats_; }
 
   private:

@@ -6,27 +6,21 @@
  * sequencing queries.
  *
  * The engine is single-owner: one session, one driving thread.  The
- * frame cache, the tier engine and the governor it reports to all run
- * on that thread, so none of them takes a lock.
+ * frame cache runs on that thread too, so neither takes a lock.
  */
 
 #ifndef REPLAY_CORE_SEQUENCER_HH
 #define REPLAY_CORE_SEQUENCER_HH
 
 #include <deque>
-#include <memory>
-
-#include <functional>
 
 #include "core/aliasprofile.hh"
 #include "core/constructor.hh"
 #include "core/framecache.hh"
 #include "core/quarantine.hh"
-#include "core/tier.hh"
 #include "opt/datapath.hh"
 #include "opt/optimizer.hh"
 #include "util/arena.hh"
-#include "util/governor.hh"
 
 namespace replay::fault {
 class FaultInjector;
@@ -57,37 +51,6 @@ struct EngineConfig
      * frame-cache fetch and sabotage of optimized bodies.
      */
     fault::FaultInjector *injector = nullptr;
-
-    /**
-     * Optional resource governor (owned by the simulator/session).
-     * When set, the engine reports the footprint of its cache, frame
-     * pool, and quarantine table, and degrades under pressure: SOFT
-     * sheds cached frames and rejects deposits, HARD optimizes new
-     * frames with cheapOptConfig only, CRITICAL suspends frame
-     * construction entirely.  Null = ungoverned (seed behaviour).
-     */
-    ResourceGovernor *governor = nullptr;
-
-    /** The degraded pass subset used under HARD pressure. */
-    opt::OptConfig cheapOptConfig = opt::OptConfig::cheap();
-
-    /**
-     * Tiered re-optimization (ROADMAP item 5).  With tier.enabled off
-     * (default) the engine is untiered and bit-identical to the seed:
-     * frames get the full pipeline at admission.  With it on, frames
-     * are admitted with cheapOptConfig and hot ones are re-optimized
-     * with the full budget, then republished.
-     */
-    TierConfig tier;
-
-    /**
-     * Validation gate for re-optimized bodies: called with the rebuilt
-     * frame before publication; returning false keeps the cheap body.
-     * The engine layer cannot link the static verifier directly, so
-     * the simulator injects a lintFrame-based gate here (null skips
-     * the gate).
-     */
-    std::function<bool(const Frame &)> tierVerify;
 };
 
 /** Frame construction / optimization / caching engine. */
@@ -108,13 +71,12 @@ class RePlayEngine
     void
     drainReady(uint64_t now)
     {
-        // Called before every retired instruction and frame lookup;
-        // with no tier engine, no governor and no frame due there is
-        // nothing to deposit, publish or report.
-        if (!tier_ && !cfg_.governor &&
-            (pending_.empty() || pending_.front().readyAt > now))
-            return;
-        drainDue(now);
+        // Inline: this runs before every retired instruction and frame
+        // lookup, and with no frame due the loop test is all it costs.
+        while (!pending_.empty() && pending_.front().readyAt <= now) {
+            cache_.insert(std::move(pending_.front().frame));
+            pending_.pop_front();
+        }
     }
 
     /** Frame starting at @p pc available for fetch at @p now. */
@@ -136,16 +98,6 @@ class RePlayEngine
     /** Pipeline flush (long-flow instruction): drop the accumulation. */
     void flush() { constructor_.abandon(); }
 
-    /**
-     * End-of-run tier teardown: one final publication pass over the
-     * inbox; whatever it cannot publish counts as dropped at exit.
-     * Idempotent; a no-op for untiered engines.
-     */
-    void quiesceTier();
-
-    /** The tier engine, or null when tiering is off (tests). */
-    const TierEngine *tier() const { return tier_.get(); }
-
     FrameCache &cache() { return cache_; }
     Quarantine &quarantine() { return quarantine_; }
     AliasProfile &aliasProfile() { return profile_; }
@@ -156,31 +108,9 @@ class RePlayEngine
   private:
     void enqueueCandidate(FrameCandidate &cand, uint64_t now);
 
-    /** drainReady() past its fast path. */
-    void drainDue(uint64_t now);
-
-    /** Re-optimize a committed cheap-tier frame once it is hot. */
-    void maybeScheduleReopt(const FramePtr &frame);
-
-    /** Drain finished re-optimizations and publish the valid ones. */
-    void drainTier();
-
-    /** Publish (or drop) one re-optimized result; see TierEngine. */
-    TierEngine::Verdict publishReopt(ReoptResult &res);
-
-    /**
-     * Governor plumbing: report the engine-owned footprints (frame
-     * pool arena, quarantine table) and, while pressure is SOFT or
-     * worse, shed LRU frames until it relieves (the pinned in-flight
-     * frame is never shed).
-     */
-    void syncGovernor();
-    void relievePressure();
-
     EngineConfig cfg_;
     FrameConstructor constructor_;
     opt::Optimizer optimizer_;
-    opt::Optimizer cheapOptimizer_;
     opt::OptimizerPipeline optPipe_;
     FrameCache cache_;
     Quarantine quarantine_;
@@ -198,27 +128,7 @@ class RePlayEngine
         stats_.counter("materialized_candidates")};
     Counter &frameCommits_{stats_.counter("frame_commits")};
     Counter &assertFires_{stats_.counter("assert_fires")};
-    // Degradation-ladder counters (all zero while ungoverned).
-    Counter &govShedFrames_{stats_.counter("gov_shed_frames")};
-    Counter &govAdmitRejects_{stats_.counter("gov_admit_rejects")};
-    Counter &govCheapOpts_{stats_.counter("gov_cheap_opts")};
-    Counter &govSuspended_{stats_.counter("gov_suspended")};
     Counter &allocFailures_{stats_.counter("alloc_failures")};
-    // Tiered re-optimization counters (all zero with tiering off).
-    Counter &tierEnqueues_{stats_.counter("tier_enqueues")};
-    Counter &tierPublishes_{stats_.counter("tier_publishes")};
-    Counter &tierUopsRemoved_{stats_.counter("tier_uops_removed")};
-    Counter &tierVerifyRejects_{stats_.counter("tier_verify_rejects")};
-    Counter &tierStaleDrops_{stats_.counter("tier_stale_drops")};
-    Counter &tierDeferrals_{stats_.counter("tier_deferrals")};
-    Counter &tierDroppedAtExit_{stats_.counter("tier_dropped_at_exit")};
-
-    /** Governor consumer ids (valid only when cfg_.governor). */
-    unsigned govPoolId_ = 0;
-    unsigned govQuarantineId_ = 0;
-    unsigned govTierId_ = 0;
-
-    std::unique_ptr<TierEngine> tier_;
 
     /**
      * Recycles Frame objects: a frame freed by eviction returns its

@@ -107,18 +107,9 @@ FaultInjector::maybeSabotagePass(OptimizedFrame &body)
     return true;
 }
 
-// All three hooks guard the rate before touching rng_: a disabled
+// Both hooks guard the rate before touching rng_: a disabled
 // site must not perturb the deterministic stream the enabled sites
 // consume.
-
-bool
-FaultInjector::maybeFailAlloc()
-{
-    if (cfg_.allocFailRate <= 0.0 || !rng_.chance(cfg_.allocFailRate))
-        return false;
-    ++stats_.counter("alloc_fails");
-    return true;
-}
 
 bool
 FaultInjector::maybeIoFault()

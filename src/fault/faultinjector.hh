@@ -46,9 +46,6 @@ struct FaultConfig
     /** P(sabotage the optimized body) per frame leaving the optimizer. */
     double passSabotageRate = 0.0;
 
-    /** P(frame-build allocation fails) per candidate (governor hook). */
-    double allocFailRate = 0.0;
-
     /** P(a batched trace read faults) per fill (I/O-layer hook). */
     double ioFaultRate = 0.0;
 
@@ -60,8 +57,7 @@ struct FaultConfig
     enabled() const
     {
         return fetchFlipRate > 0.0 || passSabotageRate > 0.0 ||
-               allocFailRate > 0.0 || ioFaultRate > 0.0 ||
-               stallRate > 0.0;
+               ioFaultRate > 0.0 || stallRate > 0.0;
     }
 };
 
@@ -82,13 +78,6 @@ class FaultInjector
      * pass would.  Returns true when a corruption was injected.
      */
     bool maybeSabotagePass(opt::OptimizedFrame &body);
-
-    /**
-     * Site (d): should the next frame-build allocation fail?  Wired
-     * into the governor's alloc-failure hook so the sequencer survives
-     * it exactly like a real std::bad_alloc.
-     */
-    bool maybeFailAlloc();
 
     /** Site (e): should the next batched trace read fault (EIO)? */
     bool maybeIoFault();

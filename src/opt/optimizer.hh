@@ -130,18 +130,6 @@ struct OptimizedFrame
         position.clear();
         block.clear();
     }
-
-    /** Allocated plane footprint (governor accounting). */
-    size_t
-    memoryBytes() const
-    {
-        return code.memoryBytes() +
-               (srcA.capacity() + srcB.capacity() + srcC.capacity() +
-                flagsSrc.capacity()) * sizeof(Operand) +
-               unsafe.capacity() +
-               (position.capacity() + block.capacity()) *
-                   sizeof(uint16_t);
-    }
 };
 
 /** The pipeline passes, in execution order (DCE included). */

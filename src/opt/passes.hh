@@ -50,21 +50,6 @@ struct OptConfig
     /** The Figure 10 points. */
     static OptConfig allOn() { return {}; }
 
-    /**
-     * The degraded pass subset the engine drops to under HARD memory
-     * pressure (see util/governor.hh): NOP removal plus the always-on
-     * DCE — the two cheapest passes, both linear, no speculation, no
-     * alias-profile dependence.  Frames stay correct (the static
-     * verifier discharges the same obligations), they are just less
-     * optimized until pressure relieves.
-     */
-    static OptConfig
-    cheap()
-    {
-        OptConfig c = allOff();
-        c.nopRemoval = true;
-        return c;
-    }
     static OptConfig
     allOff()
     {

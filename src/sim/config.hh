@@ -19,7 +19,6 @@
 #include "fault/faultinjector.hh"
 #include "timing/pipeline.hh"
 #include "util/cancellation.hh"
-#include "util/governor.hh"
 
 namespace replay::sim {
 
@@ -58,15 +57,6 @@ struct SimConfig
 
     /** Fault-injection knobs (all rates 0 = injector disabled). */
     fault::FaultConfig fault;
-
-    /**
-     * Memory-budget knobs.  budgetBytes == 0 (default) means
-     * ungoverned: no governor is built and behaviour is bit-identical
-     * to the seed.  Nonzero gives this run its own ResourceGovernor
-     * (per-session, never shared: accounting must be deterministic for
-     * a fixed trace regardless of sweep parallelism).
-     */
-    GovernorConfig governor;
 
     /**
      * Cooperative cancellation/deadline token, checked between trace

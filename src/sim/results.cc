@@ -33,27 +33,8 @@ RunStats::merge(const RunStats &other)
     quarantineBlocks += other.quarantineBlocks;
     quarantineDrops += other.quarantineDrops;
     quarantineReadmissions += other.quarantineReadmissions;
-    govSoftTransitions += other.govSoftTransitions;
-    govHardTransitions += other.govHardTransitions;
-    govCriticalTransitions += other.govCriticalTransitions;
-    govShedFrames += other.govShedFrames;
-    govAdmitRejects += other.govAdmitRejects;
-    govCheapOpts += other.govCheapOpts;
-    govSuspendedCandidates += other.govSuspendedCandidates;
     allocFailures += other.allocFailures;
     stallsInjected += other.stallsInjected;
-    tierEnqueues += other.tierEnqueues;
-    tierPublishes += other.tierPublishes;
-    tierUopsRemoved += other.tierUopsRemoved;
-    tierVerifyRejects += other.tierVerifyRejects;
-    tierStaleDrops += other.tierStaleDrops;
-    tierDeferrals += other.tierDeferrals;
-    tierDroppedAtExit += other.tierDroppedAtExit;
-    // Peak footprint merges via max: commutative and associative like
-    // the sums, so merged results stay independent of arrival order.
-    govPeakBytes = govPeakBytes > other.govPeakBytes
-                       ? govPeakBytes
-                       : other.govPeakBytes;
     // Combine digests with modular addition: commutative and
     // associative, so a merged digest is independent of the order the
     // per-trace results arrive in (serial loop or parallel sweep).
@@ -131,56 +112,21 @@ RunStats::fingerprint() const
     f.mix(quarantineBlocks);
     f.mix(quarantineDrops);
     f.mix(quarantineReadmissions);
-    // Governance counters joined the struct after the golden
-    // fingerprints were frozen.  They are all zero in ungoverned,
-    // fault-free runs, so they contribute only when any is nonzero —
-    // behind a sentinel so a governed run can never collide with an
-    // ungoverned run that happens to share the other counters.
-    // govPeakBytes is deliberately NOT part of the predicate: a
-    // governor that never leaves OK is observation-only and must leave
-    // the fingerprint bit-identical to an ungoverned run.
-    const bool governed = govSoftTransitions || govHardTransitions ||
-                          govCriticalTransitions || govShedFrames ||
-                          govAdmitRejects || govCheapOpts ||
-                          govSuspendedCandidates || allocFailures ||
-                          stallsInjected;
-    if (governed) {
+    // The robustness counters joined the struct after the golden
+    // fingerprints were frozen.  They are zero in fault-free runs, so
+    // they contribute only when either is nonzero — behind a sentinel
+    // so such a run can never collide with a clean run that happens
+    // to share the other counters.  The block keeps the frozen slot
+    // layout of the retired resource governor: its seven degradation
+    // counters before allocFailures and its peak-footprint word after
+    // stallsInjected are mixed as zero words.
+    if (allocFailures || stallsInjected) {
         f.mix(uint64_t(0x60767265646e6f67ULL)); // sentinel: "governed"
-        f.mix(govSoftTransitions);
-        f.mix(govHardTransitions);
-        f.mix(govCriticalTransitions);
-        f.mix(govShedFrames);
-        f.mix(govAdmitRejects);
-        f.mix(govCheapOpts);
-        f.mix(govSuspendedCandidates);
+        for (unsigned i = 0; i < 7; ++i)
+            f.mix(uint64_t(0));
         f.mix(allocFailures);
         f.mix(stallsInjected);
-        f.mix(govPeakBytes);
-    }
-    // Tier counters follow the same pattern: they joined after the
-    // goldens froze, are all zero with tiering off, and contribute
-    // behind their own sentinel only when any is nonzero — so untiered
-    // fingerprints stay bit-identical to the seed, and a tiered run
-    // can never collide with an untiered one sharing the rest.
-    const bool tiered = tierEnqueues || tierPublishes ||
-                        tierUopsRemoved || tierVerifyRejects ||
-                        tierStaleDrops || tierDeferrals ||
-                        tierDroppedAtExit;
-    if (tiered) {
-        f.mix(uint64_t(0x0000646572656974ULL)); // sentinel: "tiered"
-        f.mix(tierEnqueues);
-        // The frozen layout's re-optimization count, which always
-        // equalled the enqueue count (every enqueue runs at once).
-        f.mix(tierEnqueues);
-        f.mix(tierPublishes);
-        f.mix(tierUopsRemoved);
-        f.mix(tierVerifyRejects);
-        f.mix(tierStaleDrops);
-        f.mix(tierDeferrals);
-        // Two zero slots keep the frozen tiered fingerprint layout.
         f.mix(uint64_t(0));
-        f.mix(uint64_t(0));
-        f.mix(tierDroppedAtExit);
     }
     f.mix(archDigest);
     f.mix(uint64_t(archDigestValid));

@@ -67,29 +67,10 @@ struct RunStats
     uint64_t quarantineDrops = 0;       ///< candidates denied
     uint64_t quarantineReadmissions = 0;
 
-    // Resource-governance / degradation counters (all zero while
-    // ungoverned and fault-free — see the fingerprint() note).
-    uint64_t govSoftTransitions = 0;     ///< entries into SOFT
-    uint64_t govHardTransitions = 0;     ///< entries into HARD
-    uint64_t govCriticalTransitions = 0; ///< entries into CRITICAL
-    uint64_t govShedFrames = 0;          ///< frames shed under pressure
-    uint64_t govAdmitRejects = 0;        ///< deposits rejected (SOFT+)
-    uint64_t govCheapOpts = 0;           ///< cheap-subset optimizations
-    uint64_t govSuspendedCandidates = 0; ///< dropped under CRITICAL
-    uint64_t allocFailures = 0;          ///< bad_alloc or injected fail
-    uint64_t stallsInjected = 0;         ///< chaos stalls taken
-    uint64_t govPeakBytes = 0;           ///< peak governed footprint
-
-    // Tiered re-optimization counters (all zero with tiering off;
-    // behind their own fingerprint sentinel, like the governance
-    // block, so untiered runs stay bit-identical to the seed).
-    uint64_t tierEnqueues = 0;      ///< hot frames queued for re-opt
-    uint64_t tierPublishes = 0;     ///< re-optimized bodies published
-    uint64_t tierUopsRemoved = 0;   ///< cached uops freed by re-opt
-    uint64_t tierVerifyRejects = 0; ///< results the linter rejected
-    uint64_t tierStaleDrops = 0;    ///< results for departed frames
-    uint64_t tierDeferrals = 0;     ///< publications held off a pin
-    uint64_t tierDroppedAtExit = 0; ///< results unpublished at exit
+    // Robustness counters (zero in fault-free runs — see the
+    // fingerprint() note).
+    uint64_t allocFailures = 0;         ///< frame builds lost to bad_alloc
+    uint64_t stallsInjected = 0;        ///< chaos stalls taken
 
     /**
      * FNV-1a64 of the architectural state at the instruction budget

@@ -7,7 +7,6 @@
 #include "core/frame.hh"
 #include "util/logging.hh"
 #include "verify/static/hook.hh"
-#include "verify/static/lint.hh"
 
 namespace replay::sim {
 
@@ -43,27 +42,6 @@ Simulator::Simulator(const SimConfig &cfg)
         injector_ = std::make_unique<fault::FaultInjector>(cfg_.fault);
         if (cfg_.usesFrames())
             cfg_.engine.injector = injector_.get();
-    }
-    if (cfg_.usesFrames() && cfg_.governor.budgetBytes > 0) {
-        // Per-run governor (never shared across sessions): pressure
-        // must depend only on this run's own allocation history so
-        // governed sweeps stay deterministic under any --jobs.
-        governor_ = std::make_unique<ResourceGovernor>(cfg_.governor);
-        if (injector_ && cfg_.fault.allocFailRate > 0.0) {
-            governor_->setAllocFailureInjector(
-                [inj = injector_.get()] { return inj->maybeFailAlloc(); });
-        }
-        cfg_.engine.governor = governor_.get();
-    }
-    if (cfg_.usesFrames() && cfg_.engine.tier.enabled) {
-        // Every re-optimized body is validated by the static verifier
-        // before publication (the engine layer cannot link the
-        // verifier itself, so the gate is injected).
-        if (!cfg_.engine.tierVerify) {
-            cfg_.engine.tierVerify = [](const core::Frame &frame) {
-                return vstatic::lintFrame(frame).ok();
-            };
-        }
     }
     if (cfg_.usesFrames())
         engine_ = std::make_unique<core::RePlayEngine>(cfg_.engine);
@@ -468,11 +446,6 @@ Simulator::run(trace::TraceSource &src)
         simulateIcacheInst(*rec, src);
     }
 
-    // Tier teardown before harvest: results still unpublished must be
-    // counted before the counters are read.
-    if (engine_)
-        engine_->quiesceTier();
-
     fe_.finish(exec_.lastRetire());
     stats_.bins = fe_.bins();
     stats_.icacheMisses = fe_.icache().cache().stats().get("misses");
@@ -497,33 +470,7 @@ Simulator::run(trace::TraceSource &src)
             engine_->stats().get("quarantine_candidate_drops");
         stats_.quarantineReadmissions =
             engine_->quarantine().stats().get("readmissions");
-        stats_.govShedFrames = engine_->stats().get("gov_shed_frames");
-        stats_.govAdmitRejects =
-            engine_->stats().get("gov_admit_rejects");
-        stats_.govCheapOpts = engine_->stats().get("gov_cheap_opts");
-        stats_.govSuspendedCandidates =
-            engine_->stats().get("gov_suspended");
         stats_.allocFailures = engine_->stats().get("alloc_failures");
-        stats_.tierEnqueues = engine_->stats().get("tier_enqueues");
-        stats_.tierPublishes = engine_->stats().get("tier_publishes");
-        stats_.tierUopsRemoved =
-            engine_->stats().get("tier_uops_removed");
-        stats_.tierVerifyRejects =
-            engine_->stats().get("tier_verify_rejects");
-        stats_.tierStaleDrops =
-            engine_->stats().get("tier_stale_drops");
-        stats_.tierDeferrals = engine_->stats().get("tier_deferrals");
-        stats_.tierDroppedAtExit =
-            engine_->stats().get("tier_dropped_at_exit");
-    }
-    if (governor_) {
-        stats_.govSoftTransitions =
-            governor_->stats().get("soft_transitions");
-        stats_.govHardTransitions =
-            governor_->stats().get("hard_transitions");
-        stats_.govCriticalTransitions =
-            governor_->stats().get("critical_transitions");
-        stats_.govPeakBytes = governor_->peakBytes();
     }
     if (online_) {
         stats_.archDigest = online_->digest();

@@ -43,9 +43,6 @@ class Simulator
     /** The online verifier (cfg.verifyOnline; null otherwise). */
     verify::OnlineVerifier *online() { return online_.get(); }
 
-    /** The resource governor (cfg.governor.budgetBytes > 0 only). */
-    ResourceGovernor *governor() { return governor_.get(); }
-
     /** The execution core model (its ring probes are a work counter). */
     const timing::ExecModel &execModel() const { return exec_; }
 
@@ -68,7 +65,6 @@ class Simulator
     timing::BranchPredictor bpred_;
     uop::Translator translator_;
     std::unique_ptr<fault::FaultInjector> injector_;    ///< before engine_
-    std::unique_ptr<ResourceGovernor> governor_;        ///< before engine_
     std::unique_ptr<core::RePlayEngine> engine_;
     std::unique_ptr<TraceCacheUnit> tcache_;
     std::unique_ptr<verify::OnlineVerifier> online_;

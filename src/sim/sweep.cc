@@ -116,8 +116,6 @@ runSweep(const std::vector<SweepCell> &cells, const SweepOptions &opts)
         // std::terminate.
         CancelSource watchdog;
         SimConfig cfg = task.cell->cfg;
-        if (opts.tier && cfg.usesFrames() && cfg.engine.optimize)
-            cfg.engine.tier.enabled = true;
         if (opts.taskDeadlineMillis) {
             watchdog.setDeadlineAfter(
                 std::chrono::milliseconds(opts.taskDeadlineMillis));

@@ -59,15 +59,6 @@ struct SweepOptions
     bool warmup = true;
 
     /**
-     * Tiered re-optimization override for every optimizing
-     * frame-machine cell (RPO and its variants): sets
-     * SimConfig::engine.tier.enabled (cheap admission + full re-opt of
-     * hot frames).  Off (default) leaves the cells untiered and
-     * bit-identical to the seed.
-     */
-    bool tier = false;
-
-    /**
      * Soft per-task deadline in milliseconds; 0 = none.  Each (cell,
      * trace) simulation gets its own CancelSource armed with this
      * budget; a task that overruns it throws CancelledError at the

@@ -311,9 +311,6 @@ struct UopSlab
         return a;
     }
 
-    /** Allocated footprint of the backing slab (governor model). */
-    size_t memoryBytes() const { return cap_ * BYTES_PER_UOP; }
-
     /** Live-prefix equality (dead storage past size() is ignored). */
     bool operator==(const UopSlab &o) const;
 

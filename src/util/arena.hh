@@ -59,20 +59,6 @@ class Arena
     /** Number of backing chunks (diagnostics / bench). */
     size_t chunkCount() const { return chunks_.size(); }
 
-    /**
-     * Total bytes of backing storage (what the resource governor
-     * charges: the arena holds whole chunks live regardless of how
-     * much of each is handed out).
-     */
-    size_t
-    footprintBytes() const
-    {
-        size_t sum = 0;
-        for (const Chunk &chunk : chunks_)
-            sum += chunk.size;
-        return sum;
-    }
-
   private:
     struct Chunk
     {
@@ -127,12 +113,6 @@ class ObjectPool
 
     /** Objects currently in the free list. */
     size_t freeObjects() const { return core_->free.size(); }
-
-    /** Backing-arena footprint (governor accounting). */
-    size_t arenaFootprintBytes() const
-    {
-        return core_->arena.footprintBytes();
-    }
 
   private:
     struct Core

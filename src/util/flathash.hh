@@ -58,17 +58,6 @@ class FlatMap
     size_t size() const { return size_; }
     bool empty() const { return size_ == 0; }
 
-    /**
-     * Backing-storage footprint (governor accounting): the flat
-     * vectors hold full capacity live, so that is what gets charged.
-     */
-    size_t
-    memoryBytes() const
-    {
-        return states_.size() *
-               (sizeof(uint8_t) + sizeof(K) + sizeof(V));
-    }
-
     /** Pointer to the value for @p key, or null. */
     V *
     find(K key)
@@ -249,8 +238,7 @@ class FlatMap
      * shoot-downs) used to accumulate tombstones without bound and
      * every miss probed through the whole graveyard.  Once tombstones
      * claim over a quarter of the table, rehash in place: same
-     * capacity — the footprint is part of the governor's byte model —
-     * but every chain shrinks back to the live entries.  Each
+     * capacity, but every chain shrinks back to the live entries.  Each
      * compaction costs O(capacity) and needs capacity/4 fresh erases
      * to re-arm, so the amortized cost per erase stays constant.
      */
@@ -305,7 +293,6 @@ class FlatSet
   public:
     size_t size() const { return map_.size(); }
     bool empty() const { return map_.empty(); }
-    size_t memoryBytes() const { return map_.memoryBytes(); }
     bool contains(K key) const { return map_.find(key) != nullptr; }
     void insert(K key) { map_[key] = Unit{}; }
     bool erase(K key) { return map_.erase(key); }

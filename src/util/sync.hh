@@ -37,8 +37,8 @@
  * Unranked mutexes default to LEAF: they may be taken while holding
  * any ranked lock, but never nest with each other.
  *
- * Single-owner structures (the rePLay engine, its frame cache, tier
- * engine and governor) are driven by one thread and take no lock.
+ * Single-owner structures (the rePLay engine and its frame cache) are
+ * driven by one thread and take no lock.
  */
 
 #ifndef REPLAY_UTIL_SYNC_HH

@@ -226,107 +226,3 @@ TEST(GoldenSweep, V3CorpusReplayIsBitIdenticalToTheGoldens)
     EXPECT_EQ(result.corpusHits, 2 * traces);
     EXPECT_EQ(result.corpusMisses, 0u);
 }
-
-// ---------------------------------------------------------------------
-// Tiered re-optimization goldens.  Tiering off must be bit-identical
-// to the table above (the seed behaviour, enforced per cell); tiering
-// on gets its own frozen per-workload fingerprints.
-// ---------------------------------------------------------------------
-
-namespace {
-
-/**
- * Frozen RPO fingerprints with tiered re-optimization on.  The cell
- * holds no pointers, so the byte dump gtest prints for it (and ctest
- * keeps in the test name) is the same in every build.
- */
-struct TierGoldenCell
-{
-    char workload[8];
-    uint64_t fingerprint;       ///< RunStats::fingerprint()
-    uint64_t x86Retired;
-};
-
-/**
- * Captured with:
- *
- *   REPLAY_SIM_INSTS=50000 ./build/tools/replaybench --json --jobs 1 \
- *       --tier table3
- *
- * (RPO column; the digest of that run was 146b89c79510a9b9.)  Same
- * refresh contract as kGolden: only for intentional behaviour changes.
- */
-constexpr TierGoldenCell kTierGolden[] = {
-    {"bzip2", 0x700a370a71687c6aull, 50000},
-    {"crafty", 0xa12c092ae5df2934ull, 50000},
-    {"eon", 0x266eb6542d0e08e4ull, 50000},
-    {"gzip", 0x02c3c53c98b9ca07ull, 50000},
-    {"parser", 0x79f5dae154de8380ull, 50000},
-    {"twolf", 0x148943f1d85e555aull, 50000},
-    {"vortex", 0xdbcd68b73adeed50ull, 50000},
-    {"access", 0x176d826495057a2cull, 100000},
-    {"dream", 0x22da7b13a41714a8ull, 100000},
-    {"excel", 0x04e982d2b2d7297aull, 150000},
-    {"lotus", 0x8eeb66554bba2bd2ull, 100000},
-    {"photo", 0xfb05db4cf1a83300ull, 100000},
-    {"power", 0xa511322d24364547ull, 150000},
-    {"sound", 0x785dc2d84f633098ull, 150000},
-};
-
-const GoldenCell &
-goldenCellFor(const char *workload, sim::Machine machine)
-{
-    for (const GoldenCell &cell : kGolden)
-        if (std::string(cell.workload) == workload &&
-            cell.machine == machine)
-            return cell;
-    ADD_FAILURE() << "no golden cell for " << workload;
-    return kGolden[0];
-}
-
-} // namespace
-
-TEST(GoldenTier, ZeroTierBudgetIsBitIdenticalToTheGoldens)
-{
-    // An *explicit* tier.enabled = false must take the identical code
-    // path as the seed configs above — same fingerprints, bit for bit.
-    for (const char *app : {"bzip2", "gzip", "crafty", "excel"}) {
-        for (const sim::Machine machine :
-             {sim::Machine::RP, sim::Machine::RPO}) {
-            sim::SimConfig cfg = sim::SimConfig::make(machine);
-            cfg.engine.tier.enabled = false;
-            const sim::RunStats stats = sim::runWorkload(
-                trace::findWorkload(app), cfg, GOLDEN_BUDGET);
-            const GoldenCell &golden = goldenCellFor(app, machine);
-            EXPECT_EQ(hex64(stats.fingerprint()), golden.fingerprint)
-                << app << "/" << sim::machineName(machine)
-                << ": tiering off diverged from the untiered golden";
-            EXPECT_EQ(stats.tierEnqueues, 0u);
-        }
-    }
-}
-
-class GoldenTierDet : public ::testing::TestWithParam<TierGoldenCell>
-{
-};
-
-TEST_P(GoldenTierDet, DeterministicSingleWorkerFingerprint)
-{
-    const TierGoldenCell &cell = GetParam();
-    sim::SimConfig cfg = sim::SimConfig::make(sim::Machine::RPO);
-    cfg.engine.tier.enabled = true;
-    const sim::RunStats stats = sim::runWorkload(
-        trace::findWorkload(cell.workload), cfg, GOLDEN_BUDGET);
-
-    EXPECT_EQ(stats.x86Retired, cell.x86Retired);
-    EXPECT_GT(stats.tierPublishes, 0u) << cell.workload;
-    EXPECT_EQ(hex64(stats.fingerprint()), hex64(cell.fingerprint))
-        << cell.workload
-        << " diverged from the tier golden snapshot";
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    AllWorkloads, GoldenTierDet, ::testing::ValuesIn(kTierGolden),
-    [](const ::testing::TestParamInfo<TierGoldenCell> &cell) {
-        return std::string(cell.param.workload);
-    });

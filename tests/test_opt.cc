@@ -1460,146 +1460,3 @@ INSTANTIATE_TEST_SUITE_P(
         return std::string(
             OptConfig::passBitName(unsigned(param_info.param)));
     });
-
-// ---------------------------------------------------------------------
-// Tier idempotence: the background re-optimizer feeds *cheap-optimized*
-// bodies (NOP removal + DCE survivors) back through the full pipeline.
-// Every pass must be safe on that pre-thinned input, reach a fixed
-// point, and produce a frame architecturally equivalent to the raw
-// micro-op stream the cheap body came from.
-// ---------------------------------------------------------------------
-
-namespace {
-
-/** The re-opt snapshot: a cheap body's surviving uop/block stream. */
-std::pair<std::vector<Uop>, std::vector<uint16_t>>
-cheapSurvivors(const std::vector<Uop> &raw)
-{
-    OptStats stats;
-    const auto cheap =
-        Optimizer(OptConfig::cheap()).optimize(raw, {}, nullptr, stats);
-    std::vector<Uop> uops;
-    std::vector<uint16_t> blocks;
-    for (const FrameUop fu : cheap) {
-        uops.push_back(fu.uop);
-        blocks.push_back(fu.block);
-    }
-    return {std::move(uops), std::move(blocks)};
-}
-
-} // namespace
-
-class TierPassProperty : public ::testing::TestWithParam<int>
-{
-};
-
-TEST_P(TierPassProperty, EveryPassSafeOnCheapOptimizedFrames)
-{
-    const unsigned bit = unsigned(GetParam());
-    const OptConfig cfg = OptConfig::fromPassMask(uint8_t(1u << bit));
-    OptConfig extra = cfg;
-    extra.maxIterations = cfg.maxIterations + 2;
-    AllowAllHints allow;
-
-    for (uint64_t seed = 0; seed < 200; ++seed) {
-        Rng rng(seed * 0x9E3779B97F4A7C15ULL + bit);
-        const auto raw = randomFrame(rng);
-        const auto [uops, blocks] = cheapSurvivors(raw);
-
-        OptStats stats;
-        const auto frame =
-            Optimizer(cfg).optimize(uops, blocks, &allow, stats);
-        const auto again =
-            Optimizer(extra).optimize(uops, blocks, &allow, stats);
-        // Fixed point on the pre-thinned input, too.
-        ASSERT_EQ(bodySignature(frame), bodySignature(again))
-            << OptConfig::passBitName(bit) << " seed " << seed;
-
-        ArchState in;
-        for (unsigned r = 0; r < 8; ++r)
-            in.regs[r] = uint32_t(rng.next());
-        in.regs[unsigned(UReg::ESI)] = 0x2000;
-
-        x86::SparseMemory ref_mem, opt_mem;
-        for (unsigned w = 0; w < 16; ++w) {
-            const uint32_t v = uint32_t(rng.next());
-            ref_mem.write(0x2000 + w * 4, 4, v);
-            opt_mem.write(0x2000 + w * 4, 4, v);
-        }
-        // The reference runs the RAW stream: passing through the cheap
-        // tier and then one more pass must not change semantics.
-        const ArchState ref_out = runReference(raw, in, ref_mem);
-        ArchState opt_state = in;
-        const auto res = executeFrame(frame, opt_state, opt_mem);
-        ASSERT_TRUE(res.committed())
-            << OptConfig::passBitName(bit) << " seed " << seed;
-        expectArchEqual(opt_state, ref_out);
-        for (unsigned w = 0; w < 16; ++w) {
-            ASSERT_EQ(opt_mem.read(0x2000 + w * 4, 4),
-                      ref_mem.read(0x2000 + w * 4, 4))
-                << OptConfig::passBitName(bit) << " seed " << seed
-                << " word " << w;
-        }
-    }
-}
-
-INSTANTIATE_TEST_SUITE_P(
-    Passes, TierPassProperty,
-    ::testing::Range(0, int(OptConfig::NUM_PASS_BITS)),
-    [](const ::testing::TestParamInfo<int> &param_info) {
-        return std::string(
-            OptConfig::passBitName(unsigned(param_info.param)));
-    });
-
-TEST(TierEquivalence, CheapThenFullMatchesFullOnRawFrames)
-{
-    // cheap -> full and direct full may diverge *structurally* (CSE in
-    // the raw pipeline can bind to a slot cheap DCE already deleted),
-    // but both must transform architectural state identically.
-    AllowAllHints allow;
-    for (uint64_t seed = 0; seed < 200; ++seed) {
-        Rng rng(seed * 2654435761ULL + 99);
-        const auto raw = randomFrame(rng);
-        const auto [uops, blocks] = cheapSurvivors(raw);
-
-        OptStats stats;
-        const auto tiered =
-            Optimizer().optimize(uops, blocks, &allow, stats);
-        const auto direct = Optimizer().optimize(raw, {}, &allow, stats);
-
-        ArchState in;
-        for (unsigned r = 0; r < 8; ++r)
-            in.regs[r] = uint32_t(rng.next());
-        in.regs[unsigned(UReg::ESI)] = 0x2000;
-
-        x86::SparseMemory ref_mem, tier_mem, direct_mem;
-        for (unsigned w = 0; w < 16; ++w) {
-            const uint32_t v = uint32_t(rng.next());
-            ref_mem.write(0x2000 + w * 4, 4, v);
-            tier_mem.write(0x2000 + w * 4, 4, v);
-            direct_mem.write(0x2000 + w * 4, 4, v);
-        }
-        const ArchState ref_out = runReference(raw, in, ref_mem);
-
-        ArchState tier_state = in;
-        ASSERT_TRUE(
-            executeFrame(tiered, tier_state, tier_mem).committed())
-            << "seed " << seed;
-        expectArchEqual(tier_state, ref_out);
-
-        ArchState direct_state = in;
-        ASSERT_TRUE(
-            executeFrame(direct, direct_state, direct_mem).committed())
-            << "seed " << seed;
-        expectArchEqual(direct_state, ref_out);
-
-        for (unsigned w = 0; w < 16; ++w) {
-            ASSERT_EQ(tier_mem.read(0x2000 + w * 4, 4),
-                      ref_mem.read(0x2000 + w * 4, 4))
-                << "seed " << seed << " word " << w;
-            ASSERT_EQ(direct_mem.read(0x2000 + w * 4, 4),
-                      ref_mem.read(0x2000 + w * 4, 4))
-                << "seed " << seed << " word " << w;
-        }
-    }
-}

@@ -135,6 +135,37 @@ TEST(RunStatsMerge, FingerprintCoversCounters)
     EXPECT_NE(a.fingerprint(), b.fingerprint());
 }
 
+TEST(RunStatsMerge, RobustnessCountersKeepTheFrozenFingerprintLayout)
+{
+    // allocFailures and stallsInjected are mixed behind their sentinel
+    // in the slot layout frozen before the resource governor was
+    // retired (its slots now zero words), so both values below were
+    // captured from the governor-era fingerprint and must not move.
+    RunStats clean;
+    clean.workload = "w";
+    clean.config = "RPO";
+    clean.x86Retired = 12345;
+    EXPECT_EQ(clean.fingerprint(), 0xac4cc567f030b68cull);
+
+    RunStats faulty = clean;
+    faulty.allocFailures = 3;
+    faulty.stallsInjected = 5;
+    EXPECT_EQ(faulty.fingerprint(), 0x9556e5ad1e26c297ull);
+
+    // Both counters merge as sums, independent of arrival order.
+    RunStats part;
+    part.allocFailures = 2;
+    part.stallsInjected = 1;
+    RunStats fwd = clean, rev = clean;
+    fwd.merge(part);
+    fwd.merge(faulty);
+    rev.merge(faulty);
+    rev.merge(part);
+    EXPECT_EQ(fwd.fingerprint(), rev.fingerprint());
+    EXPECT_EQ(fwd.allocFailures, 5u);
+    EXPECT_EQ(fwd.stallsInjected, 6u);
+}
+
 // --------------------------------------------------------------- sweep
 
 namespace {

@@ -202,7 +202,7 @@ TEST(Logging, InstallReturnsPreviousHandler)
 }
 
 // ---------------------------------------------------------------------
-// ThreadPool late-failure capture (the detached tier-worker pattern)
+// ThreadPool late-failure capture
 // ---------------------------------------------------------------------
 
 #include <atomic>
@@ -277,9 +277,7 @@ TEST(FlatHash, EraseCompactsTombstonesInPlace)
     // Deletion-heavy phases must not leave probe chains crawling a
     // tombstone graveyard: growth-path rehashes only fire on insert,
     // so erase() itself compacts once tombstones pass a quarter of the
-    // table.  The rehash stays at the same capacity — the table's
-    // footprint feeds the governor byte model and must not wobble with
-    // churn.
+    // table.  The rehash stays at the same capacity.
     FlatMap<uint64_t, uint32_t> m;
     for (uint64_t k = 0; k < 800; ++k)
         m[k] = uint32_t(k);

@@ -3,16 +3,15 @@
  * chaosrunner — chaos/soak campaign driver for the robustness harness.
  *
  * Composes every failure source the stack can inject — frame-cache bit
- * flips, optimizer sabotage, allocation failures (through the resource
- * governor's hook), transient and persistent trace I/O faults, and
- * task stalls against the sweep watchdog — into an N-seed campaign and
- * asserts the engineered guarantees actually hold:
+ * flips, optimizer sabotage, transient and persistent trace I/O
+ * faults, and task stalls against the sweep watchdog — into an N-seed
+ * campaign and asserts the engineered guarantees actually hold:
  *
  *   phase A (engine soak)  every seeded run completes (no crash, no
  *                          uncaught exception), no corrupt frame
- *                          escapes the online verifier, governed
- *                          memory stays bounded, and a repeated seed
- *                          reproduces its fingerprint bit-for-bit;
+ *                          escapes the online verifier, and a
+ *                          repeated seed reproduces its fingerprint
+ *                          bit-for-bit;
  *   phase B (I/O soak)     transient read faults are absorbed by
  *                          bounded retries, corruption / truncation /
  *                          persistent errors surface as exactly the
@@ -23,30 +22,18 @@
  *                          deadline, and the sweep aborts with one
  *                          diagnostic exception naming the cell
  *                          instead of std::terminate;
- *   phase D (determinism)  with injection disabled, governed and
- *                          ungoverned sweep digests are bit-identical
- *                          across --jobs values;
- *   phase E (tier soak)    tiered re-optimization survives the same
- *                          governed + alloc-failure campaign (no
- *                          corrupt commit escapes, memory stays
- *                          bounded), a mid-run cancellation aborts a
- *                          tiered run cleanly, a tiered run reproduces
- *                          its fingerprint bit-for-bit under
- *                          injection, and with injection off the tiered
- *                          engine retires the same architectural digest
- *                          as the untiered full optimizer.
+ *   phase D (determinism)  with injection disabled, sweep digests are
+ *                          bit-identical across --jobs values.
  *
  * Exit status is 0 iff every phase passed; run it under ASan/UBSan to
  * extend "no crash" to "no leak, no UB" (scripts/tier1.sh does).
  *
  * Usage:
- *   chaosrunner [--seeds N] [--insts N] [--budget BYTES] [--jobs N]
+ *   chaosrunner [--seeds N] [--insts N] [--jobs N]
  */
 
 #include <unistd.h>
 
-#include <algorithm>
-#include <chrono>
 #include <cstdio>
 #include <cstring>
 #include <filesystem>
@@ -72,7 +59,6 @@ struct Options
 {
     unsigned seeds = 24;
     uint64_t insts = 20000;
-    size_t budgetBytes = 2u << 20;      // 2 MiB: squeezes a 16k cache
     unsigned jobs = 4;
 };
 
@@ -88,34 +74,26 @@ check(bool ok, const char *phase, const std::string &what)
                  what.c_str());
 }
 
-/** Governed + fault-injected RPO config for one campaign seed. */
+/** Fault-injected RPO config for one campaign seed. */
 SimConfig
 chaosConfig(const Options &opt, unsigned seed)
 {
     SimConfig cfg = SimConfig::make(Machine::RPO);
     cfg.maxInsts = opt.insts;
     cfg.verifyOnline = true;
-    // Vary the squeeze per seed: 50%..150% of the base budget, so some
-    // runs live mostly in OK and others bounce off CRITICAL.
-    cfg.governor.budgetBytes =
-        opt.budgetBytes / 2 + (opt.budgetBytes * (seed % 5)) / 4;
     cfg.fault.seed = 0x9e3779b9u + seed;
     cfg.fault.fetchFlipRate = 0.02;
     cfg.fault.passSabotageRate = 0.02;
-    cfg.fault.allocFailRate = 0.05;
     return cfg;
 }
 
 uint64_t
 runOne(const SimConfig &cfg, const trace::Workload &workload,
-       unsigned trace_idx, uint64_t *peak_out)
+       unsigned trace_idx)
 {
     auto src = workload.openTrace(trace_idx, cfg.maxInsts);
     sim::Simulator simulator(cfg);
-    const sim::RunStats stats = simulator.run(*src);
-    if (peak_out)
-        *peak_out = stats.govPeakBytes;
-    return stats.fingerprint();
+    return simulator.run(*src).fingerprint();
 }
 
 void
@@ -135,15 +113,6 @@ phaseEngineSoak(const Options &opt)
                   "seed " + std::to_string(seed) + " (" + workload.name +
                       "): " + std::to_string(stats.corruptFrameCommits) +
                       " corrupt frame(s) escaped the online verifier");
-            // Bounded memory: the governor reacts between allocation
-            // steps, so the footprint may overshoot the budget by at
-            // most one step (an arena chunk / one frame), never 2x.
-            check(stats.govPeakBytes < 2 * cfg.governor.budgetBytes,
-                  "engine",
-                  "seed " + std::to_string(seed) + " peak " +
-                      std::to_string(stats.govPeakBytes) +
-                      " bytes >= 2x budget " +
-                      std::to_string(cfg.governor.budgetBytes));
         } catch (const std::exception &e) {
             check(false, "engine",
                   "seed " + std::to_string(seed) +
@@ -155,12 +124,12 @@ phaseEngineSoak(const Options &opt)
 
     // Reproducibility under injection: same seed, same everything.
     const SimConfig cfg = chaosConfig(opt, 0);
-    const uint64_t a = runOne(cfg, workloads[0], 0, nullptr);
-    const uint64_t b = runOne(cfg, workloads[0], 0, nullptr);
+    const uint64_t a = runOne(cfg, workloads[0], 0);
+    const uint64_t b = runOne(cfg, workloads[0], 0);
     check(a == b, "engine",
           "seed 0 fingerprint not reproducible: " + std::to_string(a) +
               " vs " + std::to_string(b));
-    std::printf("phase A (engine soak): %u/%u governed+injected runs "
+    std::printf("phase A (engine soak): %u/%u injected runs "
                 "completed\n",
                 completed, opt.seeds);
 }
@@ -363,14 +332,11 @@ phaseWatchdog(const Options &opt)
 void
 phaseDeterminism(const Options &opt)
 {
-    // Injection off.  Half the columns governed, half not: the digest
-    // must not depend on --jobs either way (per-run governors, indexed
-    // slots, canonical merges).
-    SimConfig governed = SimConfig::make(Machine::RPO);
-    governed.governor.budgetBytes = opt.budgetBytes / 2;
+    // Injection off: the digest must not depend on --jobs (per-run
+    // engines, indexed slots, canonical merges).
     std::vector<std::pair<std::string, SimConfig>> cols = {
+        {"RP", SimConfig::make(Machine::RP)},
         {"RPO", SimConfig::make(Machine::RPO)},
-        {"RPO-gov", governed},
     };
     std::vector<const trace::Workload *> rows = {
         &trace::standardWorkloads()[0],
@@ -396,130 +362,11 @@ phaseDeterminism(const Options &opt)
                 b1, parallel.jobs);
 }
 
-void
-phaseTierSoak(const Options &opt)
-{
-    const auto &workloads = trace::standardWorkloads();
-
-    // E1: the phase-A campaign with tiered re-optimization on.
-    // Alloc failures now also hit the tier's enqueue and publish
-    // sites, and pass sabotage hits re-optimized bodies — which the
-    // pre-publication lint gate must catch (rejects, not corruption).
-    unsigned completed = 0;
-    for (unsigned seed = 0; seed < opt.seeds; ++seed) {
-        SimConfig cfg = chaosConfig(opt, seed);
-        cfg.engine.tier.enabled = true;
-        cfg.engine.tier.hotThreshold = 1 + seed % 2;
-        const auto &workload = workloads[seed % workloads.size()];
-        try {
-            auto src = workload.openTrace(0, cfg.maxInsts);
-            sim::Simulator simulator(cfg);
-            const sim::RunStats stats = simulator.run(*src);
-            ++completed;
-            check(stats.corruptFrameCommits == 0, "tier",
-                  "seed " + std::to_string(seed) + " (" + workload.name +
-                      "): " + std::to_string(stats.corruptFrameCommits) +
-                      " corrupt frame(s) escaped with tiering on");
-            check(stats.govPeakBytes < 2 * cfg.governor.budgetBytes,
-                  "tier",
-                  "seed " + std::to_string(seed) + " peak " +
-                      std::to_string(stats.govPeakBytes) +
-                      " bytes >= 2x budget with tiering on");
-        } catch (const std::exception &e) {
-            check(false, "tier",
-                  "seed " + std::to_string(seed) +
-                      " raised: " + e.what());
-        }
-    }
-    check(completed == opt.seeds, "tier",
-          std::to_string(opt.seeds - completed) +
-              " tiered run(s) died");
-
-    // E2: cooperative cancellation mid-run aborts a tiered run as
-    // cleanly as an untiered one.
-    {
-        CancelSource source;
-        source.setDeadlineAfter(std::chrono::milliseconds(5));
-        SimConfig cfg = SimConfig::make(Machine::RPO);
-        cfg.maxInsts = 1u << 30;        // far beyond the deadline
-        cfg.engine.tier.enabled = true;
-        cfg.engine.tier.hotThreshold = 1;
-        cfg.cancel = source.token();
-        bool cancelled = false;
-        try {
-            auto src = workloads[0].openTrace(0, 200000);
-            sim::Simulator simulator(cfg);
-            (void)simulator.run(*src);
-        } catch (const CancelledError &) {
-            cancelled = true;
-        } catch (const std::exception &e) {
-            check(false, "tier",
-                  std::string("cancelled tiered run raised: ") +
-                      e.what());
-        }
-        check(cancelled, "tier",
-              "deadline did not cancel the tiered run");
-    }
-
-    // E3: a tiered run reproduces bit-for-bit even under the full
-    // injection campaign.
-    {
-        SimConfig cfg = chaosConfig(opt, 3);
-        cfg.engine.tier.enabled = true;
-        const uint64_t a = runOne(cfg, workloads[0], 0, nullptr);
-        const uint64_t b = runOne(cfg, workloads[0], 0, nullptr);
-        check(a == b, "tier",
-              "tier fingerprint not reproducible: " +
-                  std::to_string(a) + " vs " + std::to_string(b));
-    }
-
-    // E4: with injection off, tiered re-optimization must retire
-    // exactly the architectural state of the untiered full pipeline
-    // (the tier acceptance bar).
-    unsigned converged = 0;
-    const unsigned convergence_runs =
-        unsigned(std::min<size_t>(4, workloads.size()));
-    for (unsigned w = 0; w < convergence_runs; ++w) {
-        SimConfig sync_cfg = SimConfig::make(Machine::RPO);
-        sync_cfg.maxInsts = opt.insts;
-        sync_cfg.verifyOnline = true;
-        SimConfig tier_cfg = sync_cfg;
-        tier_cfg.engine.tier.enabled = true;
-        try {
-            auto sync_src = workloads[w].openTrace(0, opt.insts);
-            sim::Simulator sync_sim(sync_cfg);
-            const sim::RunStats sync_stats = sync_sim.run(*sync_src);
-            auto tier_src = workloads[w].openTrace(0, opt.insts);
-            sim::Simulator tier_sim(tier_cfg);
-            const sim::RunStats tier_stats = tier_sim.run(*tier_src);
-            const bool same =
-                sync_stats.archDigestValid &&
-                tier_stats.archDigestValid &&
-                sync_stats.archDigest == tier_stats.archDigest &&
-                tier_stats.verifyDetections == 0;
-            check(same, "tier",
-                  workloads[w].name +
-                      ": tiered run diverged from untiered full-opt");
-            if (same)
-                ++converged;
-        } catch (const std::exception &e) {
-            check(false, "tier",
-                  workloads[w].name +
-                      " convergence run raised: " + e.what());
-        }
-    }
-
-    std::printf("phase E (tier soak): %u/%u injected tiered runs, "
-                "%u/%u workloads converged tiered == untiered\n",
-                completed, opt.seeds, converged, convergence_runs);
-}
-
 int
 usage(const char *argv0)
 {
     std::fprintf(stderr,
-                 "usage: %s [--seeds N] [--insts N] [--budget BYTES] "
-                 "[--jobs N]\n",
+                 "usage: %s [--seeds N] [--insts N] [--jobs N]\n",
                  argv0);
     return 2;
 }
@@ -540,11 +387,6 @@ main(int argc, char **argv)
             if (++i >= argc)
                 return usage(argv[0]);
             opt.insts = sim::parseCount(argv[i], "--insts");
-        } else if (arg == "--budget") {
-            if (++i >= argc)
-                return usage(argv[0]);
-            opt.budgetBytes =
-                size_t(sim::parseCount(argv[i], "--budget"));
         } else if (arg == "--jobs" || arg == "-j") {
             if (++i >= argc)
                 return usage(argv[0]);
@@ -557,17 +399,15 @@ main(int argc, char **argv)
         }
     }
 
-    std::printf("chaosrunner: %u seeds, %llu insts/run, budget %zu "
-                "bytes, %u jobs, lock-hierarchy checker %s\n",
-                opt.seeds, (unsigned long long)opt.insts,
-                opt.budgetBytes, opt.jobs,
+    std::printf("chaosrunner: %u seeds, %llu insts/run, %u jobs, "
+                "lock-hierarchy checker %s\n",
+                opt.seeds, (unsigned long long)opt.insts, opt.jobs,
                 sync::hierarchyChecked() ? "armed" : "off");
 
     phaseEngineSoak(opt);
     phaseIoSoak(opt);
     phaseWatchdog(opt);
     phaseDeterminism(opt);
-    phaseTierSoak(opt);
 
     if (failures) {
         std::fprintf(stderr, "chaosrunner: %u failure(s)\n", failures);

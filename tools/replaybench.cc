@@ -16,18 +16,13 @@
  *
  * Usage:
  *   replaybench [--jobs N] [--insts N] [--json] [--list]
- *               [--static-check] [--tier]
+ *               [--static-check]
  *               [--corpus corpus.json] [target ...]
  *
  * --corpus replays recorded trace containers (see tools/tracec) where
  * the manifest covers a (workload, hot-spot) pair at the requested
  * budget, falling back to live synthesis on misses; digests are
  * identical either way, and each sweep reports its hit/miss counts.
- *
- * --tier enables the tiered re-optimization engine on every optimizing
- * frame-machine (RPO) cell: frames admit through the cheap pass subset
- * and hot ones are re-optimized with the full budget, then
- * republished.  Digests stay comparable across runs and --jobs values.
  *
  * Targets: fig6 fig7_8 fig9 fig10 table3 coverage (default: all).
  *
@@ -195,9 +190,6 @@ emitJson(const Target &target, const sim::SweepResult &result,
                     "\"ipc\": %.6f, \"uop_reduction\": %.6f, "
                     "\"load_reduction\": %.6f, \"coverage\": %.6f, "
                     "\"frame_commits\": %llu, \"frame_aborts\": %llu, "
-                    "\"tier_enqueues\": %llu, "
-                    "\"tier_publishes\": %llu, "
-                    "\"tier_uops_removed\": %llu, "
                     "\"fingerprint\": \"%016llx\"}%s\n",
                     jsonStr(cell.workload).c_str(),
                     jsonStr(cell.config).c_str(),
@@ -207,9 +199,6 @@ emitJson(const Target &target, const sim::SweepResult &result,
                     cell.coverage(),
                     (unsigned long long)cell.frameCommits,
                     (unsigned long long)cell.frameAborts,
-                    (unsigned long long)cell.tierEnqueues,
-                    (unsigned long long)cell.tierPublishes,
-                    (unsigned long long)cell.tierUopsRemoved,
                     (unsigned long long)cell.fingerprint(),
                     i + 1 < result.cells.size() ? "," : "");
     }
@@ -261,7 +250,7 @@ usage(const char *argv0)
 {
     std::fprintf(stderr,
                  "usage: %s [--jobs N] [--insts N] [--json] [--list] "
-                 "[--static-check] [--tier] "
+                 "[--static-check] "
                  "[--corpus corpus.json] [target ...]\n"
                  "targets: fig6 fig7_8 fig9 fig10 table3 coverage "
                  "(default: all)\n",
@@ -292,8 +281,6 @@ main(int argc, char **argv)
             if (++i >= argc)
                 return usage(argv[0]);
             opts.instsPerTrace = sim::parseCount(argv[i], "--insts");
-        } else if (arg == "--tier") {
-            opts.tier = true;
         } else if (arg == "--corpus") {
             if (++i >= argc)
                 return usage(argv[0]);
@@ -368,9 +355,8 @@ main(int argc, char **argv)
                     (unsigned long long)insts, jobs);
     } else {
         std::printf("replaybench: %llu x86 insts per hot-spot trace, "
-                    "%u worker(s)%s\n\n",
-                    (unsigned long long)insts, jobs,
-                    opts.tier ? ", tiered re-opt" : "");
+                    "%u worker(s)\n\n",
+                    (unsigned long long)insts, jobs);
     }
 
     double wall_total = 0;
