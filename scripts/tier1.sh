@@ -80,7 +80,7 @@ if [ "${REPLAY_SKIP_TSA:-0}" = "1" ]; then
 elif command -v clang++ >/dev/null 2>&1; then
     # Full build under Clang with -Wthread-safety promoted to an error
     # (ENABLE_WERROR=ON covers it): proves every GUARDED_BY /
-    # REQUIRES / EXCLUDES annotation in the tree is consistent.  GCC
+    # EXCLUDES annotation in the tree is consistent.  GCC
     # compiles the same attributes to no-ops, so only this stage
     # enforces them.
     TSA_BUILD="${BUILD}-tsa"
@@ -139,20 +139,22 @@ fi
 
 echo "== tier-1: chaos-smoke under ASan+UBSan (${ASAN_BUILD}) =="
 if [ "${REPLAY_SKIP_CHAOS:-0}" = "1" ]; then
-    echo "warn: REPLAY_SKIP_CHAOS=1; skipping the chaos/soak stage"
+    echo "warn: REPLAY_SKIP_CHAOS=1; skipping the chaos-smoke stage"
 else
-    # Robustness suite (thread-pool failure semantics, cancellation,
-    # watchdog) plus a small chaosrunner campaign, both under
-    # ASan+UBSan so injected faults cannot hide memory errors.  The
-    # Debug build also arms the ranked lock-hierarchy checker
-    # (REPLAY_SYNC_HIERARCHY), so any out-of-order acquisition on the
-    # pool/registry/logging paths panics here instead of deadlocking in
-    # production.  Skip with REPLAY_SKIP_CHAOS=1 (e.g.
-    # on machines too slow for the stall/deadline timing tests).
+    # Thread-pool failure semantics plus the fault-injection battery
+    # (seeded frame-cache flips and optimizer sabotage under the online
+    # verifier, alone and combined across six workloads; damaged trace
+    # files), both under ASan+UBSan so injected faults cannot hide
+    # memory errors.  The Debug build also arms the ranked
+    # lock-hierarchy checker (REPLAY_SYNC_HIERARCHY), so any
+    # out-of-order acquisition on the pool/registry/logging paths
+    # panics here instead of deadlocking.  Skip with
+    # REPLAY_SKIP_CHAOS=1 on machines too slow for a sanitized
+    # fault-injection run.
     cmake --build "$ASAN_BUILD" -j "$JOBS" \
-        --target test_robustness chaosrunner
-    ctest --test-dir "$ASAN_BUILD" --output-on-failure -L chaos-smoke
-    "$ASAN_BUILD/tools/chaosrunner" --seeds 6 --insts 8000
+        --target test_robustness test_fault
+    ctest --test-dir "$ASAN_BUILD" --output-on-failure -j "$JOBS" \
+        -L 'chaos-smoke|fault'
 fi
 
 echo "== tier-1: sweep tests under TSan, 4 workers (${TSAN_BUILD}) =="
@@ -166,9 +168,10 @@ if echo 'int main(){return 0;}' | \
         --output-on-failure -L sweep
 
     echo "== tier-1: sync primitives under TSan (${TSAN_BUILD}) =="
-    # util/sync.hh wrapper battery: the mutex/condvar stress hammer
-    # plus the lock-hierarchy checker's panic paths
-    # (RelWithDebInfo arms REPLAY_SYNC_HIERARCHY).
+    # util/sync.hh wrapper battery: the mutex/condvar stress hammer,
+    # the manual condvar wait loop the thread pool uses, and the
+    # lock-hierarchy checker's panic paths (RelWithDebInfo arms
+    # REPLAY_SYNC_HIERARCHY).
     cmake --build "$TSAN_BUILD" -j "$JOBS" --target test_sync
     ctest --test-dir "$TSAN_BUILD" --output-on-failure -L sync
 else

@@ -84,6 +84,9 @@ FaultInjector::corruptBody(OptimizedFrame &body, const char *site)
     return true;
 }
 
+// Each site guards its rate before touching rng_: a disabled site
+// must not perturb the deterministic stream the enabled one consumes.
+
 bool
 FaultInjector::maybeFlipOnFetch(OptimizedFrame &body)
 {
@@ -104,28 +107,6 @@ FaultInjector::maybeSabotagePass(OptimizedFrame &body)
     if (!corruptBody(body, "pass"))
         return false;
     ++stats_.counter("pass_sabotage");
-    return true;
-}
-
-// Both hooks guard the rate before touching rng_: a disabled
-// site must not perturb the deterministic stream the enabled sites
-// consume.
-
-bool
-FaultInjector::maybeIoFault()
-{
-    if (cfg_.ioFaultRate <= 0.0 || !rng_.chance(cfg_.ioFaultRate))
-        return false;
-    ++stats_.counter("io_faults");
-    return true;
-}
-
-bool
-FaultInjector::maybeStall()
-{
-    if (cfg_.stallRate <= 0.0 || !rng_.chance(cfg_.stallRate))
-        return false;
-    ++stats_.counter("stalls");
     return true;
 }
 

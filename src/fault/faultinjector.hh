@@ -46,18 +46,10 @@ struct FaultConfig
     /** P(sabotage the optimized body) per frame leaving the optimizer. */
     double passSabotageRate = 0.0;
 
-    /** P(a batched trace read faults) per fill (I/O-layer hook). */
-    double ioFaultRate = 0.0;
-
-    /** P(the run stalls for stallMillis) per checkpoint (watchdog). */
-    double stallRate = 0.0;
-    unsigned stallMillis = 20;
-
     bool
     enabled() const
     {
-        return fetchFlipRate > 0.0 || passSabotageRate > 0.0 ||
-               ioFaultRate > 0.0 || stallRate > 0.0;
+        return fetchFlipRate > 0.0 || passSabotageRate > 0.0;
     }
 };
 
@@ -78,12 +70,6 @@ class FaultInjector
      * pass would.  Returns true when a corruption was injected.
      */
     bool maybeSabotagePass(opt::OptimizedFrame &body);
-
-    /** Site (e): should the next batched trace read fault (EIO)? */
-    bool maybeIoFault();
-
-    /** Site (f): should this checkpoint stall (watchdog exercise)? */
-    bool maybeStall();
 
     /** Site (a): truncate the file at @p path to @p keep_bytes. */
     static bool truncateFile(const std::string &path,

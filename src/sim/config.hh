@@ -18,7 +18,6 @@
 #include "core/sequencer.hh"
 #include "fault/faultinjector.hh"
 #include "timing/pipeline.hh"
-#include "util/cancellation.hh"
 
 namespace replay::sim {
 
@@ -57,14 +56,6 @@ struct SimConfig
 
     /** Fault-injection knobs (all rates 0 = injector disabled). */
     fault::FaultConfig fault;
-
-    /**
-     * Cooperative cancellation/deadline token, checked between trace
-     * records.  Default token is null (never fires).  The simulator
-     * throws CancelledError at the next checkpoint after the token
-     * trips; the run produces no stats.
-     */
-    CancelToken cancel;
 
     std::string name() const { return machineName(machine); }
 

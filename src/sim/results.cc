@@ -34,7 +34,6 @@ RunStats::merge(const RunStats &other)
     quarantineDrops += other.quarantineDrops;
     quarantineReadmissions += other.quarantineReadmissions;
     allocFailures += other.allocFailures;
-    stallsInjected += other.stallsInjected;
     // Combine digests with modular addition: commutative and
     // associative, so a merged digest is independent of the order the
     // per-trace results arrive in (serial loop or parallel sweep).
@@ -112,20 +111,20 @@ RunStats::fingerprint() const
     f.mix(quarantineBlocks);
     f.mix(quarantineDrops);
     f.mix(quarantineReadmissions);
-    // The robustness counters joined the struct after the golden
-    // fingerprints were frozen.  They are zero in fault-free runs, so
-    // they contribute only when either is nonzero — behind a sentinel
-    // so such a run can never collide with a clean run that happens
-    // to share the other counters.  The block keeps the frozen slot
-    // layout of the retired resource governor: its seven degradation
-    // counters before allocFailures and its peak-footprint word after
-    // stallsInjected are mixed as zero words.
-    if (allocFailures || stallsInjected) {
+    // allocFailures joined the struct after the golden fingerprints
+    // were frozen.  It is zero in fault-free runs, so it contributes
+    // only when nonzero — behind a sentinel so such a run can never
+    // collide with a clean run that happens to share the other
+    // counters.  The block keeps its frozen slot layout: the retired
+    // resource governor's seven degradation counters before
+    // allocFailures, and the retired stall counter and the governor's
+    // peak-footprint word after it, are mixed as zero words.
+    if (allocFailures) {
         f.mix(uint64_t(0x60767265646e6f67ULL)); // sentinel: "governed"
         for (unsigned i = 0; i < 7; ++i)
             f.mix(uint64_t(0));
         f.mix(allocFailures);
-        f.mix(stallsInjected);
+        f.mix(uint64_t(0));
         f.mix(uint64_t(0));
     }
     f.mix(archDigest);

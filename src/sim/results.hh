@@ -67,10 +67,9 @@ struct RunStats
     uint64_t quarantineDrops = 0;       ///< candidates denied
     uint64_t quarantineReadmissions = 0;
 
-    // Robustness counters (zero in fault-free runs — see the
+    // Robustness counter (zero in fault-free runs — see the
     // fingerprint() note).
     uint64_t allocFailures = 0;         ///< frame builds lost to bad_alloc
-    uint64_t stallsInjected = 0;        ///< chaos stalls taken
 
     /**
      * FNV-1a64 of the architectural state at the instruction budget

@@ -1,8 +1,6 @@
 #include "sim/simulator.hh"
 
 #include <array>
-#include <chrono>
-#include <thread>
 
 #include "core/frame.hh"
 #include "util/logging.hh"
@@ -406,22 +404,8 @@ Simulator::run(trace::TraceSource &src)
     stats_ = RunStats{};
     stats_.config = cfg_.name();
 
-    uint64_t checkpoint = 0;
     while (!src.done() &&
            (cfg_.maxInsts == 0 || stats_.x86Retired < cfg_.maxInsts)) {
-        // Cancellation / watchdog checkpoint: cheap enough to sit on
-        // the hot loop (one counter test), frequent enough that a
-        // cancelled or deadline-expired run unwinds within ~1k
-        // records.  The injected stall models a wedged dependency and
-        // exists to exercise the sweep watchdog.
-        if ((++checkpoint & 1023u) == 0) {
-            if (injector_ && injector_->maybeStall()) {
-                std::this_thread::sleep_for(
-                    std::chrono::milliseconds(cfg_.fault.stallMillis));
-                ++stats_.stallsInjected;
-            }
-            cfg_.cancel.throwIfStopped("simulation");
-        }
         const TraceRecord *rec = src.peek();
         const uint32_t pc = rec->pc;
 

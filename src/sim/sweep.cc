@@ -107,27 +107,12 @@ runSweep(const std::vector<SweepCell> &cells, const SweepOptions &opts)
     std::vector<RunStats> slots(tasks.size());
     parallelFor(jobs, tasks.size(), [&](size_t i) {
         const Task &task = tasks[i];
-        // Per-task watchdog: each simulation polls its own deadline
-        // token at the fetch-loop checkpoint.  A task failure of any
-        // kind (deadline, trace error, logic bug) is re-raised with
-        // the cell's identity attached; parallelFor captures the first
-        // one, cancels the remaining tasks, and rethrows from the
-        // join, so a sweep aborts with a diagnostic instead of
-        // std::terminate.
-        CancelSource watchdog;
-        SimConfig cfg = task.cell->cfg;
-        if (opts.taskDeadlineMillis) {
-            watchdog.setDeadlineAfter(
-                std::chrono::milliseconds(opts.taskDeadlineMillis));
-            cfg.cancel = watchdog.token();
-        }
-        const auto context = [&]() -> std::string {
-            return "sweep task [workload=" + task.cell->workload->name +
-                   " config=" +
-                   (task.cell->label.empty() ? cfg.name()
-                                             : task.cell->label) +
-                   " trace=" + std::to_string(task.traceIdx) + "]";
-        };
+        // A task failure of any kind (trace error, logic bug) is
+        // re-raised with the cell's identity attached; parallelFor
+        // captures the first one, cancels the remaining tasks, and
+        // rethrows from the join, so a sweep aborts with a diagnostic
+        // instead of std::terminate.
+        const SimConfig &cfg = task.cell->cfg;
         try {
             auto src = openTaskTrace(task);
             slots[i] = simulateTrace(cfg, *src,
@@ -137,10 +122,14 @@ runSweep(const std::vector<SweepCell> &cells, const SweepOptions &opts)
             if (!src->error().ok())
                 throw std::runtime_error("trace failed mid-stream: " +
                                          src->error().describe());
-        } catch (const CancelledError &e) {
-            throw CancelledError(context() + ": " + e.what());
         } catch (const std::exception &e) {
-            throw std::runtime_error(context() + ": " + e.what());
+            throw std::runtime_error(
+                "sweep task [workload=" + task.cell->workload->name +
+                " config=" +
+                (task.cell->label.empty() ? cfg.name()
+                                          : task.cell->label) +
+                " trace=" + std::to_string(task.traceIdx) + "]: " +
+                e.what());
         }
     });
 

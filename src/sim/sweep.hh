@@ -59,15 +59,6 @@ struct SweepOptions
     bool warmup = true;
 
     /**
-     * Soft per-task deadline in milliseconds; 0 = none.  Each (cell,
-     * trace) simulation gets its own CancelSource armed with this
-     * budget; a task that overruns it throws CancelledError at the
-     * simulator's next checkpoint.  The exception aborts the sweep
-     * cleanly (see runSweep), it does not silently drop the cell.
-     */
-    unsigned taskDeadlineMillis = 0;
-
-    /**
      * Optional trace corpus: when set, each (cell, trace) task first
      * looks its (workload, hot-spot) pair up in the manifest and, on a
      * hit long enough to cover the replay budget, replays the recorded

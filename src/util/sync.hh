@@ -8,7 +8,7 @@
  *
  *  1. **Static discipline** — the wrappers carry Clang thread-safety
  *     attributes (`-Wthread-safety`), so fields declared
- *     `GUARDED_BY(mutex)` and functions declared `REQUIRES(mutex)` are
+ *     `GUARDED_BY(mutex)` and functions declared `EXCLUDES(mutex)` are
  *     checked at *compile time*: every interleaving, not just the ones
  *     a test happens to schedule.  On non-Clang compilers the
  *     attributes expand to nothing and the wrappers compile down to
@@ -72,8 +72,6 @@
 #define RELEASE(...) REPLAY_TSA(release_capability(__VA_ARGS__))
 #define RELEASE_GENERIC(...) \
     REPLAY_TSA(release_generic_capability(__VA_ARGS__))
-#define TRY_ACQUIRE(...) REPLAY_TSA(try_acquire_capability(__VA_ARGS__))
-#define REQUIRES(...) REPLAY_TSA(requires_capability(__VA_ARGS__))
 #define EXCLUDES(...) REPLAY_TSA(locks_excluded(__VA_ARGS__))
 
 // ---------------------------------------------------------------------
@@ -211,7 +209,7 @@ heldCapabilities()
 
 /**
  * Exclusive mutex with a TSA capability and a hierarchy rank.
- * Interface follows std::mutex (lock/unlock/try_lock), with the
+ * Interface follows std::mutex (lock/unlock), with the
  * acquisition site captured by default arguments so hierarchy
  * violations report real file:line pairs.
  */
@@ -247,24 +245,6 @@ class CAPABILITY("mutex") Mutex
         detail::noteRelease(this, name_);
 #endif
         mu_.unlock();
-    }
-
-    bool
-    try_lock(const char *file = __builtin_FILE(),
-             unsigned line = __builtin_LINE()) TRY_ACQUIRE(true)
-    {
-        if (!mu_.try_lock())
-            return false;
-#if REPLAY_SYNC_CHECKED
-        // A successful try_lock is an acquisition like any other; the
-        // hierarchy holds for it too (try_lock is not an ordering
-        // escape hatch).
-        detail::noteAcquire(this, name_, level_, file, line);
-#else
-        (void)file;
-        (void)line;
-#endif
-        return true;
     }
 
     const char *name() const { return name_; }
@@ -345,7 +325,6 @@ class SCOPED_CAPABILITY UniqueLock
     }
 
     bool ownsLock() const { return owned_; }
-    Mutex *mutex() const { return mu_; }
 
   private:
     friend class CondVar;
@@ -363,7 +342,9 @@ class SCOPED_CAPABILITY UniqueLock
  * briefly releases the underlying std::mutex; the hierarchy stack
  * deliberately keeps the entry across the wait — the lock is re-held
  * before wait() returns, so the thread's ordering obligations are
- * unchanged at every point client code runs.
+ * unchanged at every point client code runs.  There is no predicate
+ * overload: callers loop `while (!ready) cv.wait(lock);` so the
+ * guarded reads stay in a scope thread-safety analysis can check.
  */
 class CondVar
 {
@@ -383,15 +364,6 @@ class CondVar
                                             std::adopt_lock);
         cv_.wait(native);
         native.release();
-    }
-
-    /** Predicate loop: returns only once pred() holds under the lock. */
-    template <typename Pred>
-    void
-    wait(UniqueLock &lock, Pred pred)
-    {
-        while (!pred())
-            wait(lock);
     }
 
     void notify_one() { cv_.notify_one(); }

@@ -59,20 +59,13 @@ class ThreadPool
     void wait() EXCLUDES(mutex_);
 
     /**
-     * A job threw (or cancelAll() was called): cooperative jobs poll
-     * this and return early instead of doing doomed work.
+     * A job threw since the last wait(): cooperative jobs poll this
+     * and return early instead of doing doomed work.
      */
     bool
     cancelled() const
     {
         return cancelled_.load(std::memory_order_relaxed);
-    }
-
-    /** Request cancellation of queued cooperative work (watchdogs). */
-    void
-    cancelAll()
-    {
-        cancelled_.store(true, std::memory_order_relaxed);
     }
 
     unsigned numThreads() const { return unsigned(workers_.size()); }

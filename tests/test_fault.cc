@@ -11,6 +11,9 @@
 
 #include <filesystem>
 #include <fstream>
+#include <map>
+#include <string>
+#include <vector>
 
 #include "fault/faultinjector.hh"
 #include "sim/simulator.hh"
@@ -93,28 +96,65 @@ TEST(OnlineVerify, ZeroRateMatchesSeedTiming)
 // Injected frame corruption: the 100% detection obligation
 // ---------------------------------------------------------------------
 
+namespace {
+
+/** One seeded injection run: workload, flip and sabotage rates, seed. */
+struct InjectedRun
+{
+    std::string workload;
+    double flipRate;
+    double sabotageRate;
+    uint64_t seed;
+};
+
+/**
+ * Both corruption sites composed: flips and sabotage at 2% each, on
+ * the first six standard workloads with one seed per workload.
+ */
+std::vector<InjectedRun>
+combinedInjectionRuns()
+{
+    std::vector<InjectedRun> runs;
+    for (unsigned k = 0; k < 6; ++k)
+        runs.push_back({trace::standardWorkloads()[k].name, 0.02, 0.02,
+                        0x9e3779b9u + k});
+    return runs;
+}
+
+} // namespace
+
 TEST(FaultInjection, SeededFetchFlipsAllDetectedAndStateClean)
 {
-    const uint64_t clean_digest =
-        faultRun("gzip", Machine::RPO, 0.0, 0.0).archDigest;
+    std::vector<InjectedRun> runs;
+    for (const uint64_t seed : {1, 7, 23, 99, 1234})
+        runs.push_back({"gzip", 0.02, 0.0, seed});
+    for (const InjectedRun &run : combinedInjectionRuns())
+        runs.push_back(run);
 
+    std::map<std::string, uint64_t> clean_digest;
     uint64_t total_flips = 0, total_detections = 0;
-    for (const uint64_t seed : {1, 7, 23, 99, 1234}) {
+    for (const InjectedRun &run : runs) {
+        if (!clean_digest.count(run.workload))
+            clean_digest[run.workload] =
+                faultRun(run.workload, Machine::RPO, 0.0, 0.0).archDigest;
         const RunStats stats =
-            faultRun("gzip", Machine::RPO, 0.02, 0.0, seed);
+            faultRun(run.workload, Machine::RPO, run.flipRate,
+                     run.sabotageRate, run.seed);
+        const std::string where =
+            run.workload + " seed " + std::to_string(run.seed);
 
         // Obligation: no frame carrying an armed corruption commits.
-        EXPECT_EQ(stats.corruptFrameCommits, 0u) << "seed " << seed;
+        EXPECT_EQ(stats.corruptFrameCommits, 0u) << where;
         // Every detection rolled back and quarantined the frame.
-        EXPECT_EQ(stats.quarantines, stats.verifyDetections);
+        EXPECT_EQ(stats.quarantines, stats.verifyDetections) << where;
         // Recovery is accounted in its own cycle bin.
         if (stats.verifyDetections > 0) {
-            EXPECT_GT(stats.bins.get(CycleBin::VERIFY), 0u);
+            EXPECT_GT(stats.bins.get(CycleBin::VERIFY), 0u) << where;
         }
         // Graceful degradation, not divergence: the retired record
         // stream (and so the architectural state at the instruction
         // budget) matches the fault-free run bit for bit.
-        EXPECT_EQ(stats.archDigest, clean_digest) << "seed " << seed;
+        EXPECT_EQ(stats.archDigest, clean_digest[run.workload]) << where;
 
         total_flips += stats.faultsFetchFlip;
         total_detections += stats.verifyDetections;
@@ -158,14 +198,23 @@ TEST(FaultInjection, QuarantineDegradesToConventionalFetch)
 
 TEST(FaultInjection, DeterministicUnderSeed)
 {
-    const RunStats a = faultRun("vortex", Machine::RPO, 0.03, 0.1, 5);
-    const RunStats b = faultRun("vortex", Machine::RPO, 0.03, 0.1, 5);
-    EXPECT_EQ(a.cycles(), b.cycles());
-    EXPECT_EQ(a.faultsFetchFlip, b.faultsFetchFlip);
-    EXPECT_EQ(a.faultsPassSabotage, b.faultsPassSabotage);
-    EXPECT_EQ(a.verifyDetections, b.verifyDetections);
-    EXPECT_EQ(a.quarantines, b.quarantines);
-    EXPECT_EQ(a.archDigest, b.archDigest);
+    for (const InjectedRun &run : {InjectedRun{"vortex", 0.03, 0.1, 5},
+                                   combinedInjectionRuns().front()}) {
+        const auto once = [&run] {
+            return faultRun(run.workload, Machine::RPO, run.flipRate,
+                            run.sabotageRate, run.seed);
+        };
+        const RunStats a = once();
+        const RunStats b = once();
+        EXPECT_EQ(a.cycles(), b.cycles()) << run.workload;
+        EXPECT_EQ(a.faultsFetchFlip, b.faultsFetchFlip) << run.workload;
+        EXPECT_EQ(a.faultsPassSabotage, b.faultsPassSabotage)
+            << run.workload;
+        EXPECT_EQ(a.verifyDetections, b.verifyDetections) << run.workload;
+        EXPECT_EQ(a.quarantines, b.quarantines) << run.workload;
+        EXPECT_EQ(a.archDigest, b.archDigest) << run.workload;
+        EXPECT_EQ(a.fingerprint(), b.fingerprint()) << run.workload;
+    }
 }
 
 // ---------------------------------------------------------------------

@@ -137,10 +137,11 @@ TEST(RunStatsMerge, FingerprintCoversCounters)
 
 TEST(RunStatsMerge, RobustnessCountersKeepTheFrozenFingerprintLayout)
 {
-    // allocFailures and stallsInjected are mixed behind their sentinel
-    // in the slot layout frozen before the resource governor was
-    // retired (its slots now zero words), so both values below were
-    // captured from the governor-era fingerprint and must not move.
+    // allocFailures is mixed behind its sentinel in the slot layout
+    // frozen before the resource governor and the stall counter were
+    // retired (their slots now zero words), so both values below were
+    // captured from the fingerprint of that earlier layout and must
+    // not move.
     RunStats clean;
     clean.workload = "w";
     clean.config = "RPO";
@@ -149,13 +150,11 @@ TEST(RunStatsMerge, RobustnessCountersKeepTheFrozenFingerprintLayout)
 
     RunStats faulty = clean;
     faulty.allocFailures = 3;
-    faulty.stallsInjected = 5;
-    EXPECT_EQ(faulty.fingerprint(), 0x9556e5ad1e26c297ull);
+    EXPECT_EQ(faulty.fingerprint(), 0xf12838b6054df612ull);
 
-    // Both counters merge as sums, independent of arrival order.
+    // The counter merges as a sum, independent of arrival order.
     RunStats part;
     part.allocFailures = 2;
-    part.stallsInjected = 1;
     RunStats fwd = clean, rev = clean;
     fwd.merge(part);
     fwd.merge(faulty);
@@ -163,7 +162,6 @@ TEST(RunStatsMerge, RobustnessCountersKeepTheFrozenFingerprintLayout)
     rev.merge(part);
     EXPECT_EQ(fwd.fingerprint(), rev.fingerprint());
     EXPECT_EQ(fwd.allocFailures, 5u);
-    EXPECT_EQ(fwd.stallsInjected, 6u);
 }
 
 // --------------------------------------------------------------- sweep
@@ -174,10 +172,11 @@ std::vector<SweepCell>
 smallGrid()
 {
     // excel has three hot-spot traces — the multi-trace merge path is
-    // exactly where order dependence would show.
+    // exactly where order dependence would show.  RP and RPO both run
+    // the frame path, with and without the optimizer.
     std::vector<SweepCell> cells;
     for (const char *name : {"gzip", "excel"}) {
-        for (const Machine m : {Machine::IC, Machine::RPO}) {
+        for (const Machine m : {Machine::IC, Machine::RP, Machine::RPO}) {
             cells.push_back({&trace::findWorkload(name), machineName(m),
                              SimConfig::make(m)});
         }
@@ -215,7 +214,7 @@ TEST(Sweep, MatchesSerialRunner)
 
     size_t i = 0;
     for (const char *name : {"gzip", "excel"}) {
-        for (const Machine m : {Machine::IC, Machine::RPO}) {
+        for (const Machine m : {Machine::IC, Machine::RP, Machine::RPO}) {
             const RunStats serial = runWorkload(
                 trace::findWorkload(name), SimConfig::make(m), 8000);
             EXPECT_EQ(sweep.cells[i].fingerprint(), serial.fingerprint())
@@ -300,8 +299,8 @@ TEST(Sweep, ReportsThroughput)
     opts.instsPerTrace = 2000;
     const auto result = runSweep(smallGrid(), opts);
     EXPECT_EQ(result.jobs, 2u);
-    // gzip has 1 trace, excel 3; two configs each.
-    EXPECT_EQ(result.traceRuns, 2u * (1u + 3u));
+    // gzip has 1 trace, excel 3; three configs each.
+    EXPECT_EQ(result.traceRuns, 3u * (1u + 3u));
     EXPECT_GT(result.wallSeconds, 0.0);
     EXPECT_GT(result.totalInsts(), 0u);
     EXPECT_GT(result.instsPerSec(), 0.0);
