@@ -32,6 +32,7 @@ clearCandidate(FrameCandidate &cand)
     cand.uops.clear();
     cand.blocks.clear();
     cand.pcs.clear();
+    cand.instUops.clear();
     cand.records.clear();
 }
 
@@ -93,13 +94,24 @@ FrameConstructor::append(const TraceRecord &rec, unsigned num_uops)
         acc_.startPc = rec.pc;
     acc_.numUops += num_uops;
     acc_.pcs.push_back(rec.pc);
+    // A count above 255 truncates here and fails materialize()'s
+    // per-instruction check.
+    acc_.instUops.push_back(uint8_t(num_uops));
     acc_.records.push_back(rec);
+}
+
+unsigned
+FrameConstructor::uopCount(const TraceRecord &rec)
+{
+    flowScratch_.clear();
+    return translator_.translate(rec.inst, rec.pc, rec.pc + rec.length,
+                                 flowScratch_);
 }
 
 std::optional<FrameCandidate>
 FrameConstructor::observe(const TraceRecord &rec)
 {
-    FrameCandidate *cand = observeShape(rec);
+    FrameCandidate *cand = observeShape(rec, uopCount(rec));
     if (!cand)
         return std::nullopt;
     materialize(*cand);
@@ -112,7 +124,7 @@ FrameConstructor::observe(const TraceRecord &rec)
 }
 
 FrameCandidate *
-FrameConstructor::observeShape(const TraceRecord &rec)
+FrameConstructor::observeShape(const TraceRecord &rec, unsigned num_uops)
 {
     const x86::Inst &in = rec.inst;
     FrameCandidate *closed = nullptr;
@@ -129,10 +141,6 @@ FrameConstructor::observeShape(const TraceRecord &rec)
         finish(rec.pc, false, false, closed);
         return closed;
     }
-
-    flowScratch_.clear();
-    translator_.translate(in, rec.pc, rec.pc + rec.length, flowScratch_);
-    const unsigned num_uops = unsigned(flowScratch_.size());
 
     // ---- size limit ------------------------------------------------------
     if (acc_.numUops + num_uops > cfg_.maxUops)
@@ -151,10 +159,9 @@ FrameConstructor::observeShape(const TraceRecord &rec)
             return closed;
         }
         // Promote: materialize() turns the BR into an assertion that
-        // the branch keeps going the biased way.
-        const Uop &br = flowScratch_.back();
-        panic_if(br.op != Op::BR, "branch flow must end in BR");
-        const bool backward = rec.taken && br.target <= rec.pc;
+        // the branch keeps going the biased way.  The BR's target is
+        // the instruction's.
+        const bool backward = rec.taken && in.target <= rec.pc;
         append(rec, num_uops);
         ++curBlock_;
         if (backward) {
@@ -170,8 +177,6 @@ FrameConstructor::observeShape(const TraceRecord &rec)
 
     // ---- indirect jumps ---------------------------------------------------
     if (is_indirect) {
-        panic_if(flowScratch_.back().op != Op::JMPI,
-                 "indirect flow must end in JMPI");
         const uint32_t stable = targets_.stableTarget(rec.pc);
         append(rec, num_uops);
         if (stable != 0 && stable == rec.nextPc) {
@@ -205,6 +210,10 @@ FrameConstructor::materialize(FrameCandidate &cand) const
         const x86::Inst &in = rec.inst;
         const size_t first = cand.uops.size();
         translator_.translate(in, rec.pc, rec.pc + rec.length, cand.uops);
+        panic_if(cand.uops.size() - first != cand.instUops[i],
+                 "instruction %zu at 0x%x translated to %zu uops, its "
+                 "fetch path reported %u", i, rec.pc,
+                 cand.uops.size() - first, unsigned(cand.instUops[i]));
         for (size_t k = first; k < cand.uops.size(); ++k)
             cand.uops[k].instIdx = uint16_t(i);
         cand.blocks.resize(cand.uops.size(), block);

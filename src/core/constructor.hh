@@ -11,12 +11,14 @@
  *
  * Construction is split in two.  observeShape() runs per retired
  * instruction and decides where candidates start and end; it keeps
- * only the shape (PCs, records, µop count, block count).  Most
- * candidates duplicate a frame the engine already has and are thrown
- * away, so the µop body is built by materialize() only for the ones
- * the engine keeps.  Every conversion decision is a function of the
- * candidate's own records, so materialize() rebuilds exactly the body
- * the instruction-by-instruction construction would have built.
+ * only the shape (PCs, records, µop counts, block count).  It does not
+ * decode: the fetch path that retired the instruction already knows
+ * its µop count and passes it in.  Most candidates duplicate a frame
+ * the engine already has and are thrown away, so the µop body is
+ * translated and built by materialize() only for the ones the engine
+ * keeps.  Every conversion decision is a function of the candidate's
+ * own records, so materialize() rebuilds exactly the body the
+ * instruction-by-instruction construction would have built.
  */
 
 #ifndef REPLAY_CORE_CONSTRUCTOR_HH
@@ -58,6 +60,9 @@ struct FrameCandidate
     std::vector<uop::Uop> uops;
     std::vector<uint16_t> blocks;
     std::vector<uint32_t> pcs;
+    /// instUops[i]: µops instruction i translates to, as its fetch path
+    /// reported it; materialize() checks each against its translation.
+    std::vector<uint8_t> instUops;
     unsigned numBlocks = 1;
     /// µops the candidate spans; known before materialize() fills uops.
     unsigned numUops = 0;
@@ -75,29 +80,40 @@ class FrameConstructor
     /**
      * Observe one retired instruction.  Returns a completed candidate
      * when this instruction closed one off (the instruction itself may
-     * have started a fresh accumulation).  observeShape() followed by
-     * materialize().
+     * have started a fresh accumulation).  uopCount(), observeShape()
+     * and materialize(), for callers that have not decoded @p rec.
      */
     std::optional<FrameCandidate> observe(const trace::TraceRecord &rec);
 
     /**
-     * Observe one retired instruction, tracking only the candidate's
-     * shape: the learning and closing rules of observe(), without the
-     * µop body.  Returns the candidate this instruction closed (uops
-     * and blocks empty, numUops set), or null.  The candidate lives in
-     * constructor-owned storage that stays valid until the next call.
-     * When one instruction closes two candidates, the first is
-     * returned and both count in candidatesEmitted().
+     * Observe one retired instruction of @p num_uops µops (its
+     * translation's length), tracking only the candidate's shape: the
+     * learning and closing rules of observe(), without translating or
+     * building the µop body.  Returns the candidate this instruction
+     * closed (uops and blocks empty, numUops set), or null.  The
+     * candidate lives in constructor-owned storage that stays valid
+     * until the next call.  When one instruction closes two
+     * candidates, the first is returned and both count in
+     * candidatesEmitted().
      */
-    FrameCandidate *observeShape(const trace::TraceRecord &rec);
+    FrameCandidate *observeShape(const trace::TraceRecord &rec,
+                                 unsigned num_uops);
 
     /**
      * Build @p cand's µop body (uops, blocks) from its records: each
      * instruction translated, every conditional branch an assertion
      * on its observed direction, every indirect jump a value assertion
      * on its observed target except a dynamic exit's final one.
+     * Panics if an instruction's translation is not the length its
+     * fetch path reported.
      */
     void materialize(FrameCandidate &cand) const;
+
+    /** Translate @p rec to learn its µop count (observe()'s decode). */
+    unsigned uopCount(const trace::TraceRecord &rec);
+
+    /** translate() calls made by this constructor (work counter). */
+    uint64_t translations() const { return translator_.translations(); }
 
     /** Discard the current accumulation (pipeline flush, redirect). */
     void abandon();
@@ -136,7 +152,7 @@ class FrameConstructor
     FrameCandidate acc_;
     FrameCandidate done_;               ///< the last closed candidate
     FrameCandidate spare_;              ///< recycled candidate storage
-    std::vector<uop::Uop> flowScratch_; ///< per-observe decode flow
+    std::vector<uop::Uop> flowScratch_; ///< uopCount()'s decode flow
     uint16_t curBlock_ = 0;
     uint64_t emitted_ = 0;
     uint64_t tooSmall_ = 0;

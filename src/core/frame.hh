@@ -53,6 +53,14 @@ struct Frame
     uint32_t nextPc = 0;
 
     /**
+     * instUops[i]: µops instruction i translates to (before
+     * optimization).  A committed frame hands these to the frame
+     * constructor so its instructions are not decoded again.  Empty
+     * for trace-cache traces.
+     */
+    std::vector<uint8_t> instUops;
+
+    /**
      * The frame ends with an unconverted indirect jump, so control
      * past the frame is dynamic; nextPc is only the target observed at
      * construction and a different runtime target is not an assertion.

@@ -71,6 +71,7 @@ RePlayEngine::enqueueCandidate(FrameCandidate &cand, uint64_t now)
         frame->id = nextFrameId_++;
         frame->startPc = cand.startPc;
         frame->pcs = cand.pcs;  // copy: the constructor reuses its buffer
+        frame->instUops = cand.instUops;
         frame->nextPc = cand.nextPc;
         frame->dynamicExit = cand.dynamicExit;
         frame->numBlocks = cand.numBlocks;
@@ -118,10 +119,11 @@ RePlayEngine::enqueueCandidate(FrameCandidate &cand, uint64_t now)
 }
 
 void
-RePlayEngine::observeRetired(const trace::TraceRecord &rec, uint64_t now)
+RePlayEngine::observeRetired(const trace::TraceRecord &rec,
+                             unsigned num_uops, uint64_t now)
 {
     drainReady(now);
-    if (FrameCandidate *candidate = constructor_.observeShape(rec))
+    if (FrameCandidate *candidate = constructor_.observeShape(rec, num_uops))
         enqueueCandidate(*candidate, now);
 }
 

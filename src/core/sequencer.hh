@@ -60,12 +60,20 @@ class RePlayEngine
     explicit RePlayEngine(EngineConfig cfg = {});
 
     /**
-     * Observe an instruction retiring from the conventional (ICache)
-     * path at cycle @p now.  May synthesize a frame candidate, push it
-     * through the optimization pipeline, and later deposit it in the
-     * frame cache.
+     * Observe an instruction of @p num_uops µops retiring at cycle
+     * @p now; the fetch path that retired it passes its µop count.
+     * May synthesize a frame candidate, push it through the
+     * optimization pipeline, and later deposit it in the frame cache.
      */
-    void observeRetired(const trace::TraceRecord &rec, uint64_t now);
+    void observeRetired(const trace::TraceRecord &rec, unsigned num_uops,
+                        uint64_t now);
+
+    /** observeRetired() for a caller that has not decoded @p rec. */
+    void
+    observeRetired(const trace::TraceRecord &rec, uint64_t now)
+    {
+        observeRetired(rec, constructor_.uopCount(rec), now);
+    }
 
     /** Deposit any frames whose optimization completed by @p now. */
     void

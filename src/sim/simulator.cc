@@ -53,6 +53,14 @@ Simulator::Simulator(const SimConfig &cfg)
 
 Simulator::~Simulator() = default;
 
+uint64_t
+Simulator::translations() const
+{
+    return translator_.translations() +
+           (engine_ ? engine_->constructor().translations() : 0) +
+           (tcache_ ? tcache_->translations() : 0);
+}
+
 namespace {
 
 /** Runtime address of a memory micro-op, from the trace record. */
@@ -138,9 +146,9 @@ Simulator::simulateIcacheInst(const TraceRecord &rec,
     }
 
     if (engine_)
-        engine_->observeRetired(rec, fe_.now());
+        engine_->observeRetired(rec, unsigned(flow.size()), fe_.now());
     if (tcache_)
-        tcache_->observe(rec);
+        tcache_->observe(rec, unsigned(flow.size()));
     if (online_)
         online_->observe(rec);
 
@@ -256,10 +264,11 @@ Simulator::simulateFrame(const FramePtr &frame, trace::TraceSource &src)
         // The frame's instructions retire and flow into the frame
         // constructor like any others (Figure 5) — this keeps the
         // bias tables warm and lets construction tile contiguously
-        // across committed frames.
+        // across committed frames.  Their µop counts were recorded
+        // when the frame was built, so nothing is decoded again.
         for (unsigned i = 0; i < frame->numX86Insts(); ++i) {
             const TraceRecord *r = src.peek();
-            engine_->observeRetired(*r, fe_.now());
+            engine_->observeRetired(*r, frame->instUops[i], fe_.now());
             if (online_)
                 online_->observe(*r);
             // Keep the predictor trained across frame-covered code so
@@ -321,16 +330,21 @@ Simulator::simulateTracePrefix(const FramePtr &trace_frame,
         return 0;
     };
 
-    unsigned cur_inst = 0;
+    // µops of each prefix instruction: the fill unit's counts.
+    thread_local std::vector<uint8_t> inst_uops;
+    inst_uops.assign(n, 0);
+    const TraceRecord *rec = nullptr;
+    size_t inst_first = 0;
     uint64_t ctrl_complete = 0;
     for (size_t i = 0; i < n_uops; ++i) {
         const uint16_t inst_idx = code.instIdx[i];
         const uint16_t attr = code.attr[i];
         if (inst_idx >= n)
             break;
-        // Per-instruction bookkeeping when we cross a boundary.
-        if (inst_idx > cur_inst)
-            cur_inst = inst_idx;
+        if (i == 0 || code.instIdx[i - 1] != inst_idx) {
+            rec = src.peek(inst_idx);
+            inst_first = i;
+        }
 
         fe_.idleUntil(exec_.fetchBackpressure(), CycleBin::STALL);
         const uint64_t cycle = fe_.fetchFrameUop();
@@ -346,7 +360,6 @@ Simulator::simulateTracePrefix(const FramePtr &trace_frame,
         if (!body.flagsSrc[i].isNone())
             deps[nd++] = depOf(body.flagsSrc[i]);
 
-        const TraceRecord *rec = src.peek(inst_idx);
         const uint32_t addr = (attr & uop::UA_KIND_MEM)
             ? memAddrFor(code.memSeq[i], rec)
             : 0;
@@ -374,9 +387,9 @@ Simulator::simulateTracePrefix(const FramePtr &trace_frame,
         const bool last_uop_of_inst =
             i + 1 == n_uops || code.instIdx[i + 1] != inst_idx;
         if (last_uop_of_inst) {
-            const TraceRecord *r = src.peek(inst_idx);
-            if (r && (r->inst.isControl() || r->inst.isCondBranch())) {
-                const bool mispredicted = bpred_.predictAndTrain(*r);
+            inst_uops[inst_idx] = uint8_t(i + 1 - inst_first);
+            if (rec->inst.isControl() || rec->inst.isCondBranch()) {
+                const bool mispredicted = bpred_.predictAndTrain(*rec);
                 if (mispredicted) {
                     ++stats_.mispredicts;
                     fe_.idleUntil(
@@ -391,7 +404,7 @@ Simulator::simulateTracePrefix(const FramePtr &trace_frame,
     stats_.x86Retired += n;
     stats_.frameX86Retired += n;    // "retired from the trace cache"
     for (unsigned i = 0; i < n; ++i) {
-        tcache_->observe(*src.peek());
+        tcache_->observe(*src.peek(), inst_uops[i]);
         if (online_)
             online_->observe(*src.peek());
         src.advance();

@@ -46,6 +46,14 @@ class Simulator
     /** The execution core model (its ring probes are a work counter). */
     const timing::ExecModel &execModel() const { return exec_; }
 
+    /**
+     * x86->µop translations made for this run (work counter): the
+     * conventional fetch path, frame bodies built by the engine, and
+     * traces inserted by the fill unit.  Outside RunStats and every
+     * fingerprint.
+     */
+    uint64_t translations() const;
+
   private:
     struct Rat;
 

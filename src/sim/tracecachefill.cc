@@ -1,5 +1,7 @@
 #include "sim/tracecachefill.hh"
 
+#include "util/logging.hh"
+
 namespace replay::sim {
 
 using trace::TraceRecord;
@@ -16,11 +18,23 @@ TraceCacheUnit::TraceCacheUnit(unsigned capacity_uops,
 void
 TraceCacheUnit::finishTrace(uint32_t next_pc)
 {
-    if (uops_.size() >= 4) {
+    if (numUops_ >= 4) {
         // Skip rebuilds of an identical or longer cached trace (early
         // exits are handled by prefix matching at fetch).
         const core::FramePtr existing = cache_.probe(startPc_);
         if (!existing || existing->pcs.size() < pcs_.size()) {
+            uops_.clear();
+            for (size_t i = 0; i < insts_.size(); ++i) {
+                const size_t first = uops_.size();
+                translator_.translate(insts_[i].inst, pcs_[i],
+                                      pcs_[i] + insts_[i].length, uops_);
+                for (size_t k = first; k < uops_.size(); ++k)
+                    uops_[k].instIdx = uint16_t(i);
+            }
+            panic_if(uops_.size() != numUops_,
+                     "trace at 0x%x translated to %zu uops, its fetch "
+                     "paths reported %u", startPc_, uops_.size(),
+                     numUops_);
             auto trace_frame = std::make_shared<core::Frame>();
             trace_frame->id = nextId_++;
             trace_frame->startPc = startPc_;
@@ -32,13 +46,22 @@ TraceCacheUnit::finishTrace(uint32_t next_pc)
             cache_.insert(std::move(trace_frame));
         }
     }
-    uops_.clear();
+    insts_.clear();
     pcs_.clear();
+    numUops_ = 0;
     branches_ = 0;
 }
 
 void
 TraceCacheUnit::observe(const TraceRecord &rec)
+{
+    uops_.clear();
+    observe(rec, translator_.translate(rec.inst, rec.pc,
+                                       rec.pc + rec.length, uops_));
+}
+
+void
+TraceCacheUnit::observe(const TraceRecord &rec, unsigned num_uops)
 {
     const x86::Inst &in = rec.inst;
     if (in.mnem == Mnem::LONGFLOW) {
@@ -46,18 +69,13 @@ TraceCacheUnit::observe(const TraceRecord &rec)
         return;
     }
 
-    flow_.clear();
-    translator_.translate(in, rec.pc, rec.pc + rec.length, flow_);
-    if (uops_.size() + flow_.size() > maxUops_)
+    if (numUops_ + num_uops > maxUops_)
         finishTrace(rec.pc);
 
-    if (uops_.empty())
+    if (numUops_ == 0)
         startPc_ = rec.pc;
-    const uint16_t inst_idx = uint16_t(pcs_.size());
-    for (uop::Uop &u : flow_) {
-        u.instIdx = inst_idx;
-        uops_.push_back(u);
-    }
+    numUops_ += num_uops;
+    insts_.push_back({in, rec.length});
     pcs_.push_back(rec.pc);
 
     const bool is_branch_uop =

@@ -164,6 +164,7 @@ unsigned
 Translator::translate(const Inst &in, uint32_t pc, uint32_t next_pc,
                       std::vector<Uop> &out) const
 {
+    ++translations_;
     const size_t before = out.size();
     Flow f(pc, out);
 

@@ -19,7 +19,11 @@
 
 namespace replay::uop {
 
-/** Stateless x86 decode-flow engine. */
+/**
+ * x86 decode-flow engine.  Decoding is stateless; the one member is a
+ * work counter of translate() calls, so the owner of a translator can
+ * say how many instructions it decoded.
+ */
 class Translator
 {
   public:
@@ -42,6 +46,12 @@ class Translator
         translate(inst, pc, next_pc, out);
         return out;
     }
+
+    /** translate() calls made through this translator. */
+    uint64_t translations() const { return translations_; }
+
+  private:
+    mutable uint64_t translations_ = 0;
 };
 
 } // namespace replay::uop

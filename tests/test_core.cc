@@ -1239,9 +1239,16 @@ sameCandidate(const FrameCandidate &got, const FrameCandidate &want,
                 got.numBlocks == want.numBlocks &&
                 got.numUops == want.uops.size() && got.uops == want.uops &&
                 got.blocks == want.blocks && got.pcs == want.pcs &&
+                got.instUops.size() == want.pcs.size() &&
                 got.records.size() == want.records.size();
     for (size_t i = 0; same && i < got.records.size(); ++i)
         same = recordBytes(got.records[i]) == recordBytes(want.records[i]);
+    // instUops[i] is the number of instruction i's µops in the body.
+    std::vector<unsigned> inst_uops(want.pcs.size(), 0);
+    for (const uop::Uop &u : want.uops)
+        ++inst_uops[u.instIdx];
+    for (size_t i = 0; same && i < inst_uops.size(); ++i)
+        same = got.instUops[i] == inst_uops[i];
     if (!same) {
         ADD_FAILURE() << where << ": candidate at 0x" << std::hex
                       << want.startPc << std::dec << " (" << want.uops.size()
@@ -1261,12 +1268,15 @@ struct EdgeCoverage
     uint64_t stableIndirectBySize = 0; ///< stable indirect last, size close
     uint64_t exactlyMinUops = 0;
     uint64_t doubleCloses = 0;      ///< one record closed two candidates
+    uint64_t selfLoopCloses = 0;    ///< ends with a JCC whose target is itself
+    uint64_t forwardTakenInside = 0; ///< holds a taken forward JCC, not last
 };
 
 /**
- * Feed @p records to the eager reference, to observeShape() +
- * materialize() and to observe(); every candidate and both counts must
- * agree.  Stops at the first divergence.
+ * Feed @p records to the eager reference, to observeShape() (given
+ * each record's µop count, as a fetch path passes it) + materialize()
+ * and to observe(); every candidate and both counts must agree.  Stops
+ * at the first divergence.
  */
 EdgeCoverage
 expectEquivalent(trace::TraceSource &src, const ConstructorConfig &cfg,
@@ -1275,6 +1285,8 @@ expectEquivalent(trace::TraceSource &src, const ConstructorConfig &cfg,
     EagerConstructor ref(cfg);
     FrameConstructor split(cfg);
     FrameConstructor eager_api(cfg);
+    const uop::Translator translator;
+    std::vector<uop::Uop> flow;
     EdgeCoverage cov;
     uint64_t n = 0;
     for (; !src.done(); src.advance(), ++n) {
@@ -1282,7 +1294,10 @@ expectEquivalent(trace::TraceSource &src, const ConstructorConfig &cfg,
         const std::string where = label + " record " + std::to_string(n);
         const uint64_t emitted_before = ref.candidatesEmitted();
         std::optional<FrameCandidate> want = ref.observe(rec);
-        FrameCandidate *got = split.observeShape(rec);
+        flow.clear();
+        const unsigned num_uops = translator.translate(
+            rec.inst, rec.pc, rec.pc + rec.length, flow);
+        FrameCandidate *got = split.observeShape(rec, num_uops);
         std::optional<FrameCandidate> via_observe = eager_api.observe(rec);
         if (want.has_value() != (got != nullptr) ||
             want.has_value() != via_observe.has_value()) {
@@ -1310,6 +1325,16 @@ expectEquivalent(trace::TraceSource &src, const ConstructorConfig &cfg,
             !rec.inst.isCondBranch() &&
             rec.inst.mnem != x86::Mnem::LONGFLOW;
         cov.exactlyMinUops += want->uops.size() == cfg.minUops;
+        cov.selfLoopCloses += want->closedByIncludedInst &&
+                              last.isCondBranch() &&
+                              last.target == want->records.back().pc;
+        for (size_t i = 0; i + 1 < want->records.size(); ++i) {
+            const TraceRecord &r = want->records[i];
+            if (r.inst.isCondBranch() && r.taken && r.inst.target > r.pc) {
+                ++cov.forwardTakenInside;
+                break;
+            }
+        }
         ref.recycle(std::move(*want));
     }
     EXPECT_EQ(split.candidatesEmitted(), ref.candidatesEmitted()) << label;
@@ -1341,6 +1366,9 @@ class EdgeStream
         }
         back_ = b.here();
         b.jcc(Cond::NE, "top");
+        b.label("self");
+        self_ = b.here();
+        b.jcc(Cond::NE, "self");
         fwd_ = b.here();
         b.jcc(Cond::E, "after");
         b.label("after");
@@ -1370,6 +1398,8 @@ class EdgeStream
             push(alu_[(next_++) % ALUS], 0, false);
     }
     void backEdge(bool taken) { push(back_, 0, taken); }
+    /** A JCC whose target is its own PC. */
+    void selfLoop(bool taken) { push(self_, 0, taken); }
     void forward(bool taken) { push(fwd_, 0, taken); }
     void ret(uint32_t target) { push(ret_, target, true); }
     void jmpR(uint32_t target) { push(jmpr_, target, true); }
@@ -1403,13 +1433,14 @@ class EdgeStream
         rec.taken = taken;
         rec.nextPc = next_pc ? next_pc : pc + placed.length;
         if (taken && placed.inst.isCondBranch())
-            rec.nextPc = pc == back_ ? alu_[0] : ret_;
+            rec.nextPc = placed.inst.target;
         records_.push_back(rec);
     }
 
     std::unique_ptr<x86::Program> prog_;
     uint32_t alu_[ALUS] = {};
-    uint32_t back_ = 0, fwd_ = 0, ret_ = 0, jmpr_ = 0, callr_ = 0;
+    uint32_t back_ = 0, self_ = 0, fwd_ = 0, ret_ = 0, jmpr_ = 0;
+    uint32_t callr_ = 0;
     uint32_t longflow_ = 0;
     unsigned next_ = 0;
     std::vector<TraceRecord> records_;
@@ -1512,4 +1543,29 @@ TEST(FrameConstructorEquivalence, HandBuiltEdgeStreamsMatchEagerConstruction)
     EXPECT_GT(small_cov.doubleCloses, 0u);
     EXPECT_GT(small_cov.stableIndirectBySize, 0u);
     EXPECT_GT(small_cov.dynamicExits, 0u);
+}
+
+// observeShape() decides loop-back closure from the JCC's own target
+// (the BR µop's target is copied from it): a taken JCC closes the
+// candidate when its target is at or before its PC, including a JCC
+// that branches to itself, and a taken forward JCC does not.
+TEST(FrameConstructorEquivalence, LoopBackRuleUsesTheBranchTarget)
+{
+    const ConstructorConfig cfg;
+    EdgeStream s;
+    for (unsigned rep = 0; rep < 80; ++rep) {
+        s.alus(8);
+        s.backEdge(true);
+        s.alus(8);
+        s.selfLoop(true);
+        s.alus(6);
+        s.forward(true);
+        s.alus(6);
+        s.longflow();
+    }
+    auto src = s.source();
+    const EdgeCoverage cov = expectEquivalent(src, cfg, "edge/loop-back");
+    EXPECT_GT(cov.backwardCloses, cov.selfLoopCloses);
+    EXPECT_GT(cov.selfLoopCloses, 0u);
+    EXPECT_GT(cov.forwardTakenInside, 0u);
 }

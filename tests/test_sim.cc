@@ -10,6 +10,8 @@
 #include <gtest/gtest.h>
 
 #include <cstdlib>
+#include <deque>
+#include <map>
 #include <stdexcept>
 
 #include "sim/runner.hh"
@@ -369,4 +371,295 @@ TEST(Simulator, CandidateWorkCountersArePinned)
                       materialized)
             << machineName(pin.machine);
     }
+}
+
+// Work counter for x86->µop decode: translate() calls on gzip.0 at
+// 100k instructions in every machine column.  Each retired instruction
+// is decoded once, by the fetch path that retires it from the
+// conventional path; a frame or trace hands its recorded counts to
+// the frame constructor and the fill unit, which translate only the
+// frames they build and the traces they insert.  A change that moves
+// these counts changes how much decode work is done and must say why.
+TEST(Simulator, TranslationsArePinned)
+{
+    struct Pin
+    {
+        Machine machine;
+        uint64_t translations;
+    };
+    const Pin pins[] = {
+        {Machine::IC, 100000},
+        {Machine::TC, 828},
+        {Machine::RP, 2242},
+        {Machine::RPO, 3708},
+    };
+    for (const Pin &pin : pins) {
+        auto src = trace::findWorkload("gzip").openTrace(0, 100000);
+        Simulator sim(SimConfig::make(pin.machine));
+        sim.run(*src);
+        EXPECT_EQ(sim.translations(), pin.translations)
+            << machineName(pin.machine);
+    }
+}
+
+// A frame records how many µops each of its instructions translates
+// to, so its committed instructions reach the frame constructor
+// without being decoded again; the counts must be the translations'
+// lengths and add up to the unoptimized body's size.
+TEST(Simulator, CachedFramesCarryTheirInstructionsUopCounts)
+{
+    const auto &w = trace::findWorkload("gzip");
+    auto src = w.openTrace(0, 100000);
+    Simulator sim(SimConfig::make(Machine::RPO));
+    sim.run(*src);
+
+    std::map<uint32_t, trace::TraceRecord> by_pc;
+    for (auto again = w.openTrace(0, 100000); !again->done();
+         again->advance())
+        by_pc.emplace(again->peek()->pc, *again->peek());
+    const uop::Translator translator;
+    unsigned frames = 0;
+    for (const auto &[pc, unused] : by_pc) {
+        const core::FramePtr frame = sim.engine()->cache().probe(pc);
+        if (!frame)
+            continue;
+        ++frames;
+        ASSERT_EQ(frame->instUops.size(), frame->pcs.size());
+        unsigned sum = 0;
+        for (size_t i = 0; i < frame->pcs.size(); ++i) {
+            const trace::TraceRecord &rec = by_pc.at(frame->pcs[i]);
+            EXPECT_EQ(frame->instUops[i],
+                      translator.translate(rec.inst, rec.pc,
+                                           rec.pc + rec.length).size());
+            sum += frame->instUops[i];
+        }
+        EXPECT_EQ(sum, frame->body.inputUops) << "frame at 0x" << std::hex
+                                              << pc;
+    }
+    EXPECT_GT(frames, 5u);
+}
+
+// ---------------------------------------------------------------------
+// Shape-only trace fill against the eager fill unit
+// ---------------------------------------------------------------------
+
+namespace {
+
+/**
+ * The fill unit as it was before it became shape-only: every observed
+ * instruction is translated and appended to the accumulating trace.
+ * Kept verbatim (renamed) as the reference the shape-only unit must
+ * reproduce trace for trace.
+ */
+class EagerTraceCacheUnit
+{
+  public:
+    EagerTraceCacheUnit(unsigned capacity_uops, unsigned max_branches,
+                        unsigned max_uops)
+        : maxBranches_(max_branches), maxUops_(max_uops),
+          cache_(capacity_uops)
+    {
+    }
+
+    void
+    observe(const trace::TraceRecord &rec)
+    {
+        using x86::Form;
+        using x86::Mnem;
+        const x86::Inst &in = rec.inst;
+        if (in.mnem == Mnem::LONGFLOW) {
+            finishTrace(rec.pc);
+            return;
+        }
+
+        flow_.clear();
+        translator_.translate(in, rec.pc, rec.pc + rec.length, flow_);
+        if (uops_.size() + flow_.size() > maxUops_)
+            finishTrace(rec.pc);
+
+        if (uops_.empty())
+            startPc_ = rec.pc;
+        const uint16_t inst_idx = uint16_t(pcs_.size());
+        for (uop::Uop &u : flow_) {
+            u.instIdx = inst_idx;
+            uops_.push_back(u);
+        }
+        pcs_.push_back(rec.pc);
+
+        const bool is_branch_uop =
+            in.isCondBranch() ||
+            (in.mnem == Mnem::JMP && in.form != Form::REL) ||
+            (in.mnem == Mnem::CALL && in.form != Form::REL) ||
+            in.mnem == Mnem::RET;
+        if (is_branch_uop) {
+            ++branches_;
+            if (branches_ >= maxBranches_)
+                finishTrace(rec.nextPc);
+        }
+    }
+
+    core::FrameCache &cache() { return cache_; }
+
+  private:
+    void
+    finishTrace(uint32_t next_pc)
+    {
+        if (uops_.size() >= 4) {
+            const core::FramePtr existing = cache_.probe(startPc_);
+            if (!existing || existing->pcs.size() < pcs_.size()) {
+                auto trace_frame = std::make_shared<core::Frame>();
+                trace_frame->id = nextId_++;
+                trace_frame->startPc = startPc_;
+                trace_frame->pcs = pcs_;
+                trace_frame->nextPc = next_pc;
+                trace_frame->dynamicExit = true;
+                trace_frame->body = opt::Optimizer::passthrough(
+                    uops_, {}, /*frame_semantics=*/false);
+                cache_.insert(std::move(trace_frame));
+            }
+        }
+        uops_.clear();
+        pcs_.clear();
+        branches_ = 0;
+    }
+
+    unsigned maxBranches_;
+    unsigned maxUops_;
+    uop::Translator translator_;
+    core::FrameCache cache_;
+
+    std::vector<uop::Uop> flow_;
+    std::vector<uop::Uop> uops_;
+    std::vector<uint32_t> pcs_;
+    uint32_t startPc_ = 0;
+    unsigned branches_ = 0;
+    uint64_t nextId_ = 1;
+};
+
+bool
+sameBody(const opt::OptimizedFrame &a, const opt::OptimizedFrame &b)
+{
+    return a.code == b.code && a.srcA == b.srcA && a.srcB == b.srcB &&
+           a.srcC == b.srcC && a.flagsSrc == b.flagsSrc &&
+           a.unsafe == b.unsafe && a.position == b.position &&
+           a.block == b.block && a.exit == b.exit &&
+           a.inputUops == b.inputUops && a.inputLoads == b.inputLoads &&
+           a.outputLoads == b.outputLoads;
+}
+
+/** @p got's trace starting at @p pc is @p want's, field for field. */
+bool
+sameTrace(const core::FramePtr &got, const core::FramePtr &want,
+          const std::string &where)
+{
+    const bool same = got && got->id == want->id &&
+                      got->startPc == want->startPc &&
+                      got->pcs == want->pcs &&
+                      got->nextPc == want->nextPc &&
+                      got->dynamicExit == want->dynamicExit &&
+                      sameBody(got->body, want->body);
+    if (!same) {
+        ADD_FAILURE() << where << ": trace " << want->id << " at 0x"
+                      << std::hex << want->startPc << std::dec
+                      << " differs from the eager fill unit's";
+    }
+    return same;
+}
+
+} // anonymous namespace
+
+TEST(TraceCacheFill, ShapeOnlyFillMatchesEagerFill)
+{
+    const uop::Translator translator;
+    std::vector<uop::Uop> flow;
+    uint64_t inserts = 0;
+    unsigned traces = 0;
+    for (const trace::Workload &w : trace::standardWorkloads()) {
+        for (unsigned t = 0; t < w.numTraces; ++t, ++traces) {
+            const std::string label =
+                std::string(w.name) + "." + std::to_string(t);
+            EagerTraceCacheUnit ref(16384, 3, 32);
+            TraceCacheUnit shape(16384, 3, 32);     // given each count
+            TraceCacheUnit wrapper(16384, 3, 32);   // decodes itself
+            // A closed trace starts within the last 33 records (every
+            // instruction has at least one of a trace's 32 µops).
+            std::deque<uint32_t> recent;
+            uint64_t ref_inserts = 0;
+            uint64_t n = 0;
+            auto src = w.openTrace(t, 100000);
+            for (; !src->done(); src->advance(), ++n) {
+                const trace::TraceRecord &rec = *src->peek();
+                flow.clear();
+                const unsigned num_uops = translator.translate(
+                    rec.inst, rec.pc, rec.pc + rec.length, flow);
+                ref.observe(rec);
+                shape.observe(rec, num_uops);
+                wrapper.observe(rec);
+                recent.push_back(rec.pc);
+                if (recent.size() > 40)
+                    recent.pop_front();
+
+                const uint64_t now_inserts =
+                    ref.cache().stats().get("inserts");
+                const std::string where =
+                    label + " record " + std::to_string(n);
+                ASSERT_EQ(shape.cache().stats().get("inserts"), now_inserts)
+                    << where;
+                ASSERT_EQ(wrapper.cache().stats().get("inserts"),
+                          now_inserts)
+                    << where;
+                if (now_inserts == ref_inserts)
+                    continue;
+                ASSERT_EQ(now_inserts, ref_inserts + 1) << where;
+                ref_inserts = now_inserts;
+                // The newest trace is the cached one with the highest id.
+                core::FramePtr want;
+                for (const uint32_t pc : recent) {
+                    const core::FramePtr f = ref.cache().probe(pc);
+                    if (f && (!want || f->id > want->id))
+                        want = f;
+                }
+                ASSERT_TRUE(want) << where;
+                ASSERT_TRUE(sameTrace(shape.cache().probe(want->startPc),
+                                      want, where + " (shape)"));
+                ASSERT_TRUE(sameTrace(wrapper.cache().probe(want->startPc),
+                                      want, where + " (wrapper)"));
+            }
+            EXPECT_EQ(shape.cache().numFrames(), ref.cache().numFrames())
+                << label;
+            EXPECT_EQ(shape.cache().occupiedUops(),
+                      ref.cache().occupiedUops())
+                << label;
+            inserts += ref_inserts;
+        }
+    }
+    EXPECT_EQ(traces, 24u);
+    EXPECT_GT(inserts, 5000u);
+}
+
+TEST(TraceCacheFill, WrongCountPanicsAtInsert)
+{
+    const auto &w = trace::findWorkload("parser");
+    const uop::Translator translator;
+    DeathHandler prev = setDeathHandler(throwingDeathHandler);
+    TraceCacheUnit unit(16384, 3, 32);
+    bool panicked = false;
+    try {
+        auto src = w.openTrace(0, 10000);
+        for (; !src->done(); src->advance()) {
+            const trace::TraceRecord &rec = *src->peek();
+            const size_t num_uops =
+                translator.translate(rec.inst, rec.pc, rec.pc + rec.length)
+                    .size();
+            unit.observe(rec, unsigned(num_uops) + 1);
+        }
+    } catch (const std::runtime_error &e) {
+        panicked = true;
+        EXPECT_NE(std::string(e.what()).find("fetch paths reported"),
+                  std::string::npos)
+            << e.what();
+    }
+    setDeathHandler(prev);
+    EXPECT_TRUE(panicked);
+    EXPECT_EQ(unit.cache().numFrames(), 0u);
 }
