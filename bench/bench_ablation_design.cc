@@ -19,12 +19,11 @@ namespace {
 const char *APPS[] = {"crafty", "vortex", "excel"};
 
 void
-sweep(const char *title,
-      std::vector<std::pair<std::string, sim::SimConfig>> points)
+sweep(const char *title, std::vector<sim::Column> points)
 {
     std::printf("%s\n", title);
 
-    bench::Grid grid;
+    sim::Grid grid;
     for (const char *app : APPS)
         grid.rows.push_back(&trace::findWorkload(app));
     grid.cols = std::move(points);
@@ -56,7 +55,7 @@ main()
                   "figure");
 
     {
-        std::vector<std::pair<std::string, sim::SimConfig>> points;
+        std::vector<sim::Column> points;
         for (const unsigned cap : {64u, 128u, 256u, 512u}) {
             auto cfg = sim::SimConfig::make(sim::Machine::RPO);
             cfg.engine.constructor.maxUops = cap;
@@ -65,7 +64,7 @@ main()
         sweep("frame size cap (micro-ops; paper uses 256):", points);
     }
     {
-        std::vector<std::pair<std::string, sim::SimConfig>> points;
+        std::vector<sim::Column> points;
         for (const unsigned kuops : {4u, 8u, 16u, 32u}) {
             auto cfg = sim::SimConfig::make(sim::Machine::RPO);
             cfg.engine.fcacheCapacityUops = kuops * 1024;
@@ -75,7 +74,7 @@ main()
               points);
     }
     {
-        std::vector<std::pair<std::string, sim::SimConfig>> points;
+        std::vector<sim::Column> points;
         const std::pair<unsigned, unsigned> thresholds[] = {
             {7, 8}, {15, 16}, {31, 32}, {63, 64}};
         for (const auto &[num, den] : thresholds) {
@@ -88,7 +87,7 @@ main()
         sweep("branch promotion threshold (ours: 15/16):", points);
     }
     {
-        std::vector<std::pair<std::string, sim::SimConfig>> points;
+        std::vector<sim::Column> points;
         auto spec_on = sim::SimConfig::make(sim::Machine::RPO);
         auto spec_off = sim::SimConfig::make(sim::Machine::RPO);
         spec_off.engine.optConfig.speculativeMem = false;

@@ -76,7 +76,7 @@ main()
 
     // One parallel sweep covers the whole campaign: per workload, the
     // IC digest reference, the clean RPO run, and the faulty RPO runs.
-    bench::Grid grid;
+    sim::Grid grid;
     grid.rows = sim::standardWorkloadRows();
     grid.cols = {{"IC", verifiedConfig(Machine::IC, 0.0, insts)},
                  {"clean", verifiedConfig(Machine::RPO, 0.0, insts)}};
@@ -86,7 +86,9 @@ main()
         grid.cols.emplace_back(label,
                                verifiedConfig(Machine::RPO, rate, insts));
     }
-    grid.run(insts);
+    sim::SweepOptions opts;
+    opts.instsPerTrace = insts;
+    grid.run(opts);
 
     TextTable table;
     table.header({"app", "rate", "injected", "detected", "escaped",

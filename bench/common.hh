@@ -1,14 +1,14 @@
 /**
  * @file
- * Shared helpers for the benchmark binaries.  Each binary regenerates
- * one table or figure of the paper; run them all with the bench loop
- * (`for b in build/bench/<binary>; do ...`) or regenerate selected
- * figures with `tools/replaybench`.
+ * Shared helpers for the text benchmark binaries.  The paper's result
+ * figures are rendered by `tools/replaybench`; these binaries cover
+ * Tables 1 and 2, the design-choice ablations and the fault campaign.
  *
- * All grid-shaped benches run through the deterministic parallel sweep
- * driver (sim/sweep.hh): results are bit-identical to the serial loop
- * for any worker count.  REPLAY_SIM_JOBS caps the workers (default:
- * hardware concurrency); REPLAY_SIM_INSTS lengthens the traces.
+ * Grid-shaped benches run a sim::Grid (sim/experiments.hh) through the
+ * deterministic parallel sweep driver: results are bit-identical to
+ * the serial loop for any worker count.  REPLAY_SIM_JOBS caps the
+ * workers (default: hardware concurrency); REPLAY_SIM_INSTS lengthens
+ * the traces.
  */
 
 #ifndef REPLAY_BENCH_COMMON_HH
@@ -16,11 +16,8 @@
 
 #include <cstdio>
 #include <string>
-#include <utility>
-#include <vector>
 
-#include "sim/sweep.hh"
-#include "trace/workload.hh"
+#include "sim/experiments.hh"
 #include "util/table.hh"
 
 namespace replay::bench {
@@ -37,32 +34,6 @@ banner(const std::string &title, const std::string &paper_note)
                 (unsigned long long)sim::defaultInstsPerTrace(),
                 sim::defaultSweepJobs());
 }
-
-/**
- * A (workload x config) result grid, simulated in one parallel sweep
- * and indexed row-major.  The canonical way a bench gets its numbers.
- */
-struct Grid
-{
-    std::vector<const trace::Workload *> rows;
-    std::vector<std::pair<std::string, sim::SimConfig>> cols;
-    sim::SweepResult result;
-
-    /** Simulate every cell; bit-identical for any worker count. */
-    void
-    run(uint64_t insts_per_trace = 0)
-    {
-        sim::SweepOptions opts;
-        opts.instsPerTrace = insts_per_trace;
-        result = sim::runSweep(sim::gridCells(rows, cols), opts);
-    }
-
-    const sim::RunStats &
-    at(size_t row, size_t col) const
-    {
-        return result.cells.at(row * cols.size() + col);
-    }
-};
 
 /** Print the sweep's measured wall clock and throughput. */
 inline void

@@ -8,10 +8,15 @@
 # shared-substrate thread-cleanliness pass honest).
 #
 # Usage: scripts/tier1.sh [build-dir] [asan-build-dir] [tsan-build-dir]
+#
+# The first stage configures a Release build, so it defaults to its own
+# build-release/ tree: CMake keeps a cached build type, and a Release
+# build/ would leave the plain `cmake -B build -S .` configure without
+# the lock-hierarchy checker (its SyncHierarchy death tests then skip).
 set -euo pipefail
 cd "$(dirname "$0")/.."
 
-BUILD="${1:-build}"
+BUILD="${1:-build-release}"
 ASAN_BUILD="${2:-build-asan}"
 TSAN_BUILD="${3:-build-tsan}"
 JOBS="$(nproc 2>/dev/null || echo 4)"

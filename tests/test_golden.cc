@@ -27,8 +27,8 @@
 #include <ostream>
 #include <string>
 
+#include "sim/experiments.hh"
 #include "sim/runner.hh"
-#include "sim/sweep.hh"
 #include "trace/chunk.hh"
 #include "trace/corpus.hh"
 #include "trace/tracer.hh"
@@ -104,6 +104,18 @@ hex64(uint64_t v)
     return buf;
 }
 
+/**
+ * The registry's table3 grid — exactly the grid `replaybench table3`
+ * runs — so the goldens pin its rows, columns and labels.
+ */
+sim::SweepResult
+runTable3(const sim::SweepOptions &opts)
+{
+    sim::Grid grid = sim::findExperiment("table3")->grid();
+    grid.run(opts);
+    return grid.result;
+}
+
 class Golden : public ::testing::TestWithParam<GoldenCell>
 {
 };
@@ -139,17 +151,11 @@ INSTANTIATE_TEST_SUITE_P(
  */
 TEST(GoldenSweep, GridDigestMatchesReplaybench)
 {
-    const std::vector<std::pair<std::string, sim::SimConfig>> cols = {
-        {"RP", sim::SimConfig::make(sim::Machine::RP)},
-        {"RPO", sim::SimConfig::make(sim::Machine::RPO)},
-    };
     sim::SweepOptions opts;
     opts.jobs = 2;
     opts.instsPerTrace = GOLDEN_BUDGET;
     opts.warmup = false;        // determinism, not timing, is at stake
-    const auto result =
-        sim::runSweep(sim::gridCells(sim::standardWorkloadRows(), cols),
-                      opts);
+    const auto result = runTable3(opts);
     EXPECT_EQ(hex64(result.digest()), GOLDEN_GRID_DIGEST);
     ASSERT_EQ(result.cells.size(), std::size(kGolden));
     for (size_t i = 0; i < result.cells.size(); ++i) {
@@ -196,18 +202,12 @@ TEST(GoldenSweep, V3CorpusReplayIsBitIdenticalToTheGoldens)
     const trace::TraceCorpus corpus = trace::TraceCorpus::load(manifest);
     ASSERT_TRUE(corpus.ok()) << corpus.error().describe();
 
-    const std::vector<std::pair<std::string, sim::SimConfig>> cols = {
-        {"RP", sim::SimConfig::make(sim::Machine::RP)},
-        {"RPO", sim::SimConfig::make(sim::Machine::RPO)},
-    };
     sim::SweepOptions opts;
     opts.jobs = 2;
     opts.instsPerTrace = GOLDEN_BUDGET;
     opts.warmup = false;
     opts.corpus = &corpus;
-    const auto result =
-        sim::runSweep(sim::gridCells(sim::standardWorkloadRows(), cols),
-                      opts);
+    const auto result = runTable3(opts);
 
     EXPECT_EQ(hex64(result.digest()), GOLDEN_GRID_DIGEST);
     ASSERT_EQ(result.cells.size(), std::size(kGolden));

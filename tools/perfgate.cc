@@ -33,7 +33,7 @@
 #include "core/constructor.hh"
 #include "core/sequencer.hh"
 #include "opt/optimizer.hh"
-#include "sim/sweep.hh"
+#include "sim/experiments.hh"
 #include "trace/chunk.hh"
 #include "trace/tracer.hh"
 #include "trace/tracev3.hh"
@@ -64,19 +64,16 @@ now()
         .count();
 }
 
-/** The grid the gate times: all 14 workloads under RP and RPO. */
+/** The grid the gate times: table3, all 14 workloads under RP and RPO. */
 sim::SweepResult
 runGateSweep(uint64_t insts)
 {
     sim::SweepOptions opts;
     opts.jobs = 1;              // single-threaded: comparable numbers
     opts.instsPerTrace = insts;
-    const std::vector<std::pair<std::string, sim::SimConfig>> cols = {
-        {"RP", sim::SimConfig::make(sim::Machine::RP)},
-        {"RPO", sim::SimConfig::make(sim::Machine::RPO)},
-    };
-    return sim::runSweep(sim::gridCells(sim::standardWorkloadRows(), cols),
-                         opts);
+    sim::Grid grid = sim::findExperiment("table3")->grid();
+    grid.run(opts);
+    return grid.result;
 }
 
 /** Construct/optimize/deposit loop over a pre-recorded trace. */

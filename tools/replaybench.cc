@@ -3,9 +3,10 @@
  * replaybench — one deterministic driver for the paper's workload
  * sweeps.
  *
- * Selects figures/tables by name, fans the (workload x config x trace)
- * grid across a thread pool, and prints either paper-style text tables
- * or machine-readable JSON.  Results are bit-identical for any --jobs
+ * Selects figures/tables of the experiment registry (sim/experiments.hh)
+ * by name, fans each (workload x config x trace) grid across a thread
+ * pool, and prints either the paper-style table of each figure or
+ * machine-readable JSON.  Results are bit-identical for any --jobs
  * value: every cell runs its own Simulator on its own seeded Rng, and
  * per-trace stats merge into indexed slots in canonical order, never
  * completion order.  The per-figure digest line makes that checkable
@@ -24,7 +25,7 @@
  * budget, falling back to live synthesis on misses; digests are
  * identical either way, and each sweep reports its hit/miss counts.
  *
- * Targets: fig6 fig7_8 fig9 fig10 table3 coverage (default: all).
+ * Targets: the registry's experiments, listed by --list (default: all).
  *
  * --static-check attaches the static verifier (src/verify/static) to
  * every optimizer invocation in counting mode and appends its
@@ -38,109 +39,21 @@
 #include <string>
 #include <vector>
 
-#include "sim/sweep.hh"
-#include "trace/workload.hh"
+#include "sim/experiments.hh"
 #include "util/logging.hh"
-#include "util/table.hh"
 #include "verify/static/hook.hh"
 
 using namespace replay;
-using sim::Machine;
-using sim::SimConfig;
 
 namespace {
 
-struct Target
-{
-    const char *name;
-    const char *description;
-    std::vector<const trace::Workload *> rows;
-    std::vector<std::pair<std::string, SimConfig>> cols;
-};
-
-std::vector<Target>
-allTargets()
-{
-    std::vector<Target> targets;
-
-    Target fig6;
-    fig6.name = "fig6";
-    fig6.description = "x86 IPC of IC / TC / RP / RPO (Figure 6)";
-    fig6.rows = sim::standardWorkloadRows();
-    fig6.cols = sim::allMachineColumns();
-    targets.push_back(std::move(fig6));
-
-    Target fig78;
-    fig78.name = "fig7_8";
-    fig78.description = "cycle breakdown RP vs RPO (Figures 7+8)";
-    fig78.rows = sim::standardWorkloadRows();
-    fig78.cols = {{"RP", SimConfig::make(Machine::RP)},
-                  {"RPO", SimConfig::make(Machine::RPO)}};
-    targets.push_back(std::move(fig78));
-
-    Target fig9;
-    fig9.name = "fig9";
-    fig9.description = "block-scope vs frame-scope (Figure 9)";
-    fig9.rows = sim::standardWorkloadRows();
-    auto block_cfg = SimConfig::make(Machine::RPO);
-    block_cfg.engine.optConfig.scope = opt::Scope::BLOCK;
-    fig9.cols = {{"RP", SimConfig::make(Machine::RP)},
-                 {"block", block_cfg},
-                 {"frame", SimConfig::make(Machine::RPO)}};
-    targets.push_back(std::move(fig9));
-
-    Target fig10;
-    fig10.name = "fig10";
-    fig10.description = "individual optimizations (Figure 10)";
-    for (const char *app : {"bzip2", "crafty", "vortex", "dream",
-                            "excel"}) {
-        fig10.rows.push_back(&trace::findWorkload(app));
-    }
-    fig10.cols = {{"RP", SimConfig::make(Machine::RP)},
-                  {"RPO", SimConfig::make(Machine::RPO)}};
-    for (const char *pass : {"ASST", "CP", "CSE", "NOP", "RA", "SF"}) {
-        auto cfg = SimConfig::make(Machine::RPO);
-        cfg.engine.optConfig = opt::OptConfig::without(pass);
-        fig10.cols.emplace_back(std::string("no ") + pass, cfg);
-    }
-    targets.push_back(std::move(fig10));
-
-    Target table3;
-    table3.name = "table3";
-    table3.description = "uops/loads removed, IPC increase (Table 3)";
-    table3.rows = sim::standardWorkloadRows();
-    table3.cols = {{"RP", SimConfig::make(Machine::RP)},
-                   {"RPO", SimConfig::make(Machine::RPO)}};
-    targets.push_back(std::move(table3));
-
-    Target coverage;
-    coverage.name = "coverage";
-    coverage.description = "frame coverage and assert cost (Section 6.1)";
-    coverage.rows = sim::standardWorkloadRows();
-    coverage.cols = {{"RPO", SimConfig::make(Machine::RPO)}};
-    targets.push_back(std::move(coverage));
-
-    return targets;
-}
-
+/** Print @p target's paper table, then its throughput and digest. */
 void
-emitText(const Target &target, const sim::SweepResult &result)
+emitText(const sim::Experiment &target, const sim::Grid &ran)
 {
+    const sim::SweepResult &result = ran.result;
     std::printf("== %s: %s ==\n", target.name, target.description);
-    TextTable table;
-    std::vector<std::string> header{"app"};
-    for (const auto &[label, cfg] : target.cols)
-        header.push_back(label + " IPC");
-    table.header(std::move(header));
-    const size_t ncols = target.cols.size();
-    for (size_t r = 0; r < target.rows.size(); ++r) {
-        std::vector<std::string> row{target.rows[r]->name};
-        for (size_t c = 0; c < ncols; ++c)
-            row.push_back(
-                TextTable::fixed(result.cells[r * ncols + c].ipc(), 3));
-        table.row(std::move(row));
-    }
-    std::printf("%s\n", table.render().c_str());
+    target.render(ran);
     std::printf("%s: %u cells (%u trace runs) in %.2fs with %u "
                 "worker(s) — %.2f cells/s, %.2fM x86 insts/s\n",
                 target.name, unsigned(result.cells.size()),
@@ -168,7 +81,7 @@ jsonStr(const std::string &s)
 }
 
 void
-emitJson(const Target &target, const sim::SweepResult &result,
+emitJson(const sim::Experiment &target, const sim::SweepResult &result,
          bool first)
 {
     std::printf("%s    {\n      \"name\": %s,\n", first ? "" : ",\n",
@@ -252,9 +165,11 @@ usage(const char *argv0)
                  "usage: %s [--jobs N] [--insts N] [--json] [--list] "
                  "[--static-check] "
                  "[--corpus corpus.json] [target ...]\n"
-                 "targets: fig6 fig7_8 fig9 fig10 table3 coverage "
-                 "(default: all)\n",
+                 "targets:",
                  argv0);
+    for (const auto &e : sim::experiments())
+        std::fprintf(stderr, " %s", e.name);
+    std::fprintf(stderr, " (default: all)\n");
     return 2;
 }
 
@@ -301,24 +216,20 @@ main(int argc, char **argv)
         }
     }
 
-    auto targets = allTargets();
     if (list) {
-        for (const auto &t : targets)
-            std::printf("%-10s %s\n", t.name, t.description);
+        for (const auto &e : sim::experiments())
+            std::printf("%-10s %s\n", e.name, e.description);
         return 0;
     }
     if (names.empty() || (names.size() == 1 && names[0] == "all")) {
         names.clear();
-        for (const auto &t : targets)
-            names.push_back(t.name);
+        for (const auto &e : sim::experiments())
+            names.push_back(e.name);
     }
 
-    std::vector<const Target *> selected;
+    std::vector<const sim::Experiment *> selected;
     for (const auto &name : names) {
-        const Target *found = nullptr;
-        for (const auto &t : targets)
-            if (name == t.name)
-                found = &t;
+        const sim::Experiment *found = sim::findExperiment(name);
         if (!found) {
             std::fprintf(stderr, "unknown target '%s'\n", name.c_str());
             return usage(argv[0]);
@@ -361,11 +272,10 @@ main(int argc, char **argv)
 
     double wall_total = 0;
     bool first = true;
-    for (const Target *target : selected) {
-        sim::SweepResult result;
+    for (const sim::Experiment *target : selected) {
+        sim::Grid grid = target->grid();
         try {
-            result = sim::runSweep(
-                sim::gridCells(target->rows, target->cols), opts);
+            grid.run(opts);
         } catch (const std::exception &e) {
             // A failed task (e.g. a corpus trace damaged mid-stream)
             // fails the run instead of printing a partial figure.
@@ -373,11 +283,11 @@ main(int argc, char **argv)
             std::fprintf(stderr, "replaybench: %s\n", e.what());
             return 1;
         }
-        wall_total += result.wallSeconds;
+        wall_total += grid.result.wallSeconds;
         if (json)
-            emitJson(*target, result, first);
+            emitJson(*target, grid.result, first);
         else
-            emitText(*target, result);
+            emitText(*target, grid);
         first = false;
     }
 
